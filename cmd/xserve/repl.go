@@ -365,7 +365,7 @@ func (s *server) handleReplJoin(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	if err := s.node.Join(r.Context(), req.ID, strings.TrimRight(req.URL, "/")); err != nil {
+	if _, err := s.node.Join(r.Context(), req.ID, strings.TrimRight(req.URL, "/")); err != nil {
 		s.replAdminErr(w, r, err)
 		return
 	}

@@ -733,14 +733,16 @@ func E14(seed int64, reps int) Table {
 	return t
 }
 
-// E15 — evaluator engine ablation: the map-based two-pass evaluator
-// (match.Eval) versus the compiled flat-array/bitset engine
-// (match.Compile), identical semantics.
+// E15 — evaluator entry points: match.Eval, which compiles its pattern
+// into pooled scratch on every call, versus an Evaluator compiled once.
+// Both run the compiled bitset engine, the only production evaluator;
+// the map-based reference engine it replaced survives as a test oracle
+// (internal/match BenchmarkReferenceVsCompiled).
 func E15(seed int64, reps int) Table {
 	t := Table{
 		ID:     "E15",
-		Title:  "Evaluator engine ablation: reference vs compiled (bitsets)",
-		Header: []string{"|t|", "|p|", "reference", "compiled", "speedup"},
+		Title:  "Evaluator entry points: per-call compile vs precompiled",
+		Header: []string{"|t|", "|p|", "match.Eval", "Evaluator.Eval", "ratio"},
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for _, n := range []int{1000, 10_000, 100_000} {
@@ -755,15 +757,14 @@ func E15(seed int64, reps int) Table {
 			if n >= 100_000 {
 				r = 1
 			}
-			dRef := timeIt(r, func() { match.Eval(p, doc) })
-			dCmp := timeIt(r, func() { ev.Eval(doc) })
-			speed := float64(dRef) / float64(dCmp)
+			dCall := timeIt(r, func() { match.Eval(p, doc) })
+			dPre := timeIt(r, func() { ev.Eval(doc) })
 			t.Rows = append(t.Rows, []string{
-				fmt.Sprint(n), fmt.Sprint(m), dur(dRef), dur(dCmp), fmt.Sprintf("%.1fx", speed),
+				fmt.Sprint(n), fmt.Sprint(m), dur(dCall), dur(dPre), fmt.Sprintf("%.2fx", float64(dCall)/float64(dPre)),
 			})
 		}
 	}
-	t.Notes = append(t.Notes, "same verdicts (property-tested); the compiled engine removes map overhead")
+	t.Notes = append(t.Notes, "one engine behind both; the per-call compile is O(|p|) and allocation-free, so the ratio stays near 1")
 	return t
 }
 

@@ -1,255 +1,265 @@
 package match
 
 import (
+	"sync"
+
 	"xmlconflict/internal/pattern"
 	"xmlconflict/internal/xmltree"
 )
 
 // Evaluator is a compiled form of a pattern for repeated evaluation: the
-// pattern is flattened into index arrays once, and each evaluation lays
-// the tree out into flat arrays and runs the same two-pass algorithm as
-// Eval over bitset rows instead of per-node maps. Semantically identical
-// to Eval (property-tested); substantially faster on large documents and
-// when one pattern is evaluated against many trees (the workload of the
-// witness searches).
+// pattern is flattened into preorder index arrays once, and each
+// evaluation lays the tree out into flat arrays and runs the two-pass
+// algorithm over bitset rows. Every entry point of the package runs on
+// it; the package-level functions compile their pattern into pooled
+// scratch per call, so holding an Evaluator only saves that step.
+//
+// An Evaluator is immutable after Compile and safe for concurrent use.
 type Evaluator struct {
-	p *pattern.Pattern
-	// Flattened pattern, preorder. Index 0 is the root.
+	// Flattened pattern, preorder. Index 0 is the root, and a
+	// subpattern is the contiguous range [q, end[q]).
+	pnodes   []*pattern.Node
 	labels   []string
 	wildcard []bool
-	childAx  []bool // edge from parent is a child edge
-	parent   []int32
-	kids     [][]int32
+	childAx  []bool  // edge from parent is a child edge
+	parent   []int32 // -1 for the root
+	end      []int32
 	out      int32
 	words    int // bitset words per row
 }
 
 // Compile flattens a pattern into an Evaluator.
 func Compile(p *pattern.Pattern) *Evaluator {
-	nodes := p.Nodes()
-	m := len(nodes)
-	e := &Evaluator{
-		p:        p,
-		labels:   make([]string, m),
-		wildcard: make([]bool, m),
-		childAx:  make([]bool, m),
-		parent:   make([]int32, m),
-		kids:     make([][]int32, m),
-		words:    (m + 63) / 64,
-	}
-	index := make(map[*pattern.Node]int32, m)
-	for i, n := range nodes {
-		index[n] = int32(i)
-	}
-	for i, n := range nodes {
-		e.labels[i] = n.Label()
-		e.wildcard[i] = n.IsWildcard()
-		e.childAx[i] = n.Axis() == pattern.Child
-		if n.Parent() == nil {
-			e.parent[i] = -1
-		} else {
-			e.parent[i] = index[n.Parent()]
-		}
-		for _, c := range n.Children() {
-			e.kids[i] = append(e.kids[i], index[c])
-		}
-	}
-	e.out = index[p.Output()]
+	e := &Evaluator{}
+	e.compile(p)
 	return e
 }
 
-// flatTree is the arena layout of a tree for one evaluation: nodes in
-// preorder, so a subtree is a contiguous range.
-type flatTree struct {
-	nodes  []*xmltree.Node
-	parent []int32
-	// end[i]: one past the last preorder index of i's subtree.
-	end []int32
+// compile fills e's tables from p, reusing their storage.
+func (e *Evaluator) compile(p *pattern.Pattern) {
+	e.pnodes, e.labels, e.wildcard = e.pnodes[:0], e.labels[:0], e.wildcard[:0]
+	e.childAx, e.parent, e.end = e.childAx[:0], e.parent[:0], e.end[:0]
+	e.add(p.Root(), -1, p.Output())
+	e.words = (len(e.pnodes) + 63) / 64
 }
 
-func flatten(t *xmltree.Tree) *flatTree {
-	f := &flatTree{}
-	var walk func(n *xmltree.Node, parent int32)
-	walk = func(n *xmltree.Node, parent int32) {
-		i := int32(len(f.nodes))
-		f.nodes = append(f.nodes, n)
-		f.parent = append(f.parent, parent)
-		f.end = append(f.end, 0)
-		for _, c := range n.Children() {
-			walk(c, i)
-		}
-		f.end[i] = int32(len(f.nodes))
+func (e *Evaluator) add(q *pattern.Node, parent int32, out *pattern.Node) {
+	i := int32(len(e.pnodes))
+	if q == out {
+		e.out = i
 	}
-	walk(t.Root(), -1)
-	return f
+	e.pnodes = append(e.pnodes, q)
+	e.labels = append(e.labels, q.Label())
+	e.wildcard = append(e.wildcard, q.IsWildcard())
+	e.childAx = append(e.childAx, q.Axis() == pattern.Child)
+	e.parent = append(e.parent, parent)
+	e.end = append(e.end, 0)
+	for _, c := range q.Children() {
+		e.add(c, i, out)
+	}
+	e.end[i] = int32(len(e.pnodes))
 }
 
-func (e *Evaluator) labelOK(q int, n *xmltree.Node) bool {
-	return e.wildcard[q] || e.labels[q] == n.Label()
-}
-
-// Eval computes [[p]](t), identical to match.Eval.
+// Eval computes [[p]](t), sorted by node identity.
 func (e *Evaluator) Eval(t *xmltree.Tree) []*xmltree.Node {
-	f := flatten(t)
-	n := len(f.nodes)
-	w := e.words
-	m := len(e.labels)
-	// sat and satSub as flat bitset matrices: row i = node i.
-	sat := make([]uint64, n*w)
-	sub := make([]uint64, n*w)
-	get := func(bits []uint64, row, q int) bool {
-		return bits[row*w+q/64]&(1<<(q%64)) != 0
-	}
-	set := func(bits []uint64, row, q int) {
-		bits[row*w+q/64] |= 1 << (q % 64)
-	}
-	// Bottom-up over preorder-reversed nodes (children have larger
-	// indexes than parents, and a node's children lie inside its range).
-	for v := n - 1; v >= 0; v-- {
-		node := f.nodes[v]
-		cs := childIndexes(f, v)
-		for q := m - 1; q >= 0; q-- {
-			ok := e.labelOK(q, node)
-			if ok {
-				for _, qc := range e.kids[q] {
-					found := false
-					if e.childAx[qc] {
-						for _, c := range cs {
-							if get(sat, int(c), int(qc)) {
-								found = true
-								break
-							}
-						}
-					} else {
-						for _, c := range cs {
-							if get(sub, int(c), int(qc)) {
-								found = true
-								break
-							}
-						}
-					}
-					if !found {
-						ok = false
-						break
-					}
-				}
-			}
-			if ok {
-				set(sat, v, q)
-				set(sub, v, q)
-			} else {
-				for _, c := range cs {
-					if get(sub, int(c), q) {
-						set(sub, v, q)
-						break
-					}
-				}
-			}
-		}
-	}
-	if !get(sat, 0, 0) {
-		return nil
-	}
-	// Top-down feasibility with ancestor-feasibility accumulators.
-	feas := make([]uint64, n*w)
-	anc := make([]uint64, n*w)
-	var result []*xmltree.Node
-	for v := 0; v < n; v++ {
-		for q := 0; q < m; q++ {
-			if !get(sat, v, q) {
-				continue
-			}
-			if e.parent[q] < 0 {
-				if v == 0 {
-					set(feas, v, q)
-				}
-				continue
-			}
-			pq := int(e.parent[q])
-			if e.childAx[q] {
-				if pv := f.parent[v]; pv >= 0 && get(feas, int(pv), pq) {
-					set(feas, v, q)
-				}
-			} else if get(anc, v, pq) {
-				set(feas, v, q)
-			}
-		}
-		if get(feas, v, int(e.out)) {
-			result = append(result, f.nodes[v])
-		}
-		// Propagate anc to children: anc(child) = anc(v) | feas(v).
-		for _, c := range childIndexes(f, v) {
-			ci := int(c)
-			for k := 0; k < w; k++ {
-				anc[ci*w+k] = anc[v*w+k] | feas[v*w+k]
-			}
-		}
-	}
-	return xmltree.SortByID(result)
+	s := getScratch(nil)
+	defer s.release()
+	return s.eval(e, t)
 }
 
 // Embeds reports whether an embedding exists ([[p]](t) ≠ ∅): only the
 // bottom-up pass runs, making it the cheapest filter primitive.
 func (e *Evaluator) Embeds(t *xmltree.Tree) bool {
-	f := flatten(t)
-	n := len(f.nodes)
-	w := e.words
-	m := len(e.labels)
-	sat := make([]uint64, n*w)
-	sub := make([]uint64, n*w)
-	get := func(bits []uint64, row, q int) bool {
-		return bits[row*w+q/64]&(1<<(q%64)) != 0
-	}
-	set := func(bits []uint64, row, q int) {
-		bits[row*w+q/64] |= 1 << (q % 64)
-	}
-	for v := n - 1; v >= 0; v-- {
-		node := f.nodes[v]
-		cs := childIndexes(f, v)
-		for q := m - 1; q >= 0; q-- {
-			ok := e.labelOK(q, node)
-			if ok {
-				for _, qc := range e.kids[q] {
-					found := false
-					for _, c := range cs {
-						if e.childAx[qc] {
-							if get(sat, int(c), int(qc)) {
-								found = true
-								break
-							}
-						} else if get(sub, int(c), int(qc)) {
-							found = true
-							break
-						}
-					}
-					if !found {
-						ok = false
-						break
-					}
-				}
-			}
-			if ok {
-				set(sat, v, q)
-				set(sub, v, q)
-			} else {
-				for _, c := range cs {
-					if get(sub, int(c), q) {
-						set(sub, v, q)
-						break
-					}
-				}
-			}
-		}
-	}
-	return get(sat, 0, 0)
+	s := getScratch(nil)
+	defer s.release()
+	s.bottomUp(e, t)
+	return s.at(s.sat, 0, 0)
 }
 
-// childIndexes returns the preorder indexes of v's children: the heads of
-// the consecutive subtree ranges inside v's range.
-func childIndexes(f *flatTree, v int) []int32 {
-	var out []int32
-	for c := int32(v + 1); c < f.end[v]; c = f.end[c] {
-		out = append(out, c)
+// scratch is the working memory of one evaluation: the tree laid out in
+// preorder (a subtree is the contiguous range [v, end[v])) and the
+// n×words bit matrices of the two passes. It is recycled through
+// scratchPool, so a warm evaluation allocates only its result.
+type scratch struct {
+	pat    Evaluator // the per-call compilation of the package-level functions
+	nodes  []*xmltree.Node
+	parent []int32
+	end    []int32
+	w      int // words per row of the evaluation in progress
+	// sat[v] holds q when the subpattern rooted at q embeds into the
+	// subtree rooted at v with q ↦ v; sub[v] holds q when sat does at v
+	// or at some descendant of v.
+	sat, sub []uint64
+	// feas[v] holds q when some embedding of the whole pattern maps q
+	// to v; anc[v] is the union of feas over v's proper ancestors.
+	feas, anc []uint64
+	kids      []uint64 // OR of v's children's sat rows, then of their sub rows
+	hits      []*xmltree.Node
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// getScratch takes scratch from the pool, compiling p into it unless p
+// is nil.
+func getScratch(p *pattern.Pattern) *scratch {
+	s := scratchPool.Get().(*scratch)
+	if p != nil {
+		s.pat.compile(p)
 	}
-	return out
+	return s
+}
+
+// release drops every tree and pattern reference, so the pool retains
+// only plain storage, and returns s to the pool.
+func (s *scratch) release() {
+	clear(s.nodes)
+	clear(s.hits)
+	clear(s.pat.pnodes)
+	clear(s.pat.labels)
+	s.nodes, s.hits = s.nodes[:0], s.hits[:0]
+	scratchPool.Put(s)
+}
+
+// zeroed returns buf resized to n zero words, reusing its storage when
+// it is large enough.
+func zeroed(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+func (s *scratch) row(bits []uint64, v int) []uint64 { return bits[v*s.w : (v+1)*s.w] }
+
+func (s *scratch) at(bits []uint64, v, q int) bool {
+	return bits[v*s.w+q/64]&(1<<(q%64)) != 0
+}
+
+func has(row []uint64, q int) bool { return row[q/64]&(1<<(q%64)) != 0 }
+
+func (s *scratch) flatten(t *xmltree.Tree) {
+	s.nodes, s.parent, s.end = s.nodes[:0], s.parent[:0], s.end[:0]
+	s.addNode(t.Root(), -1)
+}
+
+func (s *scratch) addNode(n *xmltree.Node, parent int32) {
+	i := int32(len(s.nodes))
+	s.nodes = append(s.nodes, n)
+	s.parent = append(s.parent, parent)
+	s.end = append(s.end, 0)
+	for _, c := range n.Children() {
+		s.addNode(c, i)
+	}
+	s.end[i] = int32(len(s.nodes))
+}
+
+// index returns v's preorder index in the flattened tree, or -1 when v
+// is not in it.
+func (s *scratch) index(v *xmltree.Node) int {
+	for i, n := range s.nodes {
+		if n == v {
+			return i
+		}
+	}
+	return -1
+}
+
+// bottomUp flattens t and fills sat and sub. Children have larger
+// preorder indexes than their parent, so one reverse sweep sees every
+// child row before the parent's.
+func (s *scratch) bottomUp(e *Evaluator, t *xmltree.Tree) {
+	s.flatten(t)
+	n, w := len(s.nodes), e.words
+	s.w = w
+	s.sat, s.sub = zeroed(s.sat, n*w), zeroed(s.sub, n*w)
+	s.kids = zeroed(s.kids, 2*w)
+	kidSat, kidSub := s.kids[:w], s.kids[w:]
+	for v := n - 1; v >= 0; v-- {
+		clear(s.kids)
+		for c := v + 1; c < int(s.end[v]); c = int(s.end[c]) {
+			for k := 0; k < w; k++ {
+				kidSat[k] |= s.sat[c*w+k]
+				kidSub[k] |= s.sub[c*w+k]
+			}
+		}
+		label := s.nodes[v].Label()
+		sat, sub := s.row(s.sat, v), s.row(s.sub, v)
+		for q := range e.labels {
+			if e.embedsHere(q, label, kidSat, kidSub) {
+				sat[q/64] |= 1 << (q % 64)
+			}
+		}
+		for k := range sub {
+			sub[k] = sat[k] | kidSub[k]
+		}
+	}
+}
+
+// embedsHere reports whether the subpattern rooted at q maps q to a node
+// labeled label whose children's sat and sub rows are ORed into kidSat
+// and kidSub: the label matches, and every pattern child finds an image
+// among the children (child edge) or their subtrees (descendant edge).
+func (e *Evaluator) embedsHere(q int, label string, kidSat, kidSub []uint64) bool {
+	if !e.wildcard[q] && e.labels[q] != label {
+		return false
+	}
+	for qc := q + 1; qc < int(e.end[q]); qc = int(e.end[qc]) {
+		kids := kidSub
+		if e.childAx[qc] {
+			kids = kidSat
+		}
+		if !has(kids, qc) {
+			return false
+		}
+	}
+	return true
+}
+
+// eval runs both passes and returns a fresh, identity-sorted copy of the
+// output node's images (nil when there are none).
+func (s *scratch) eval(e *Evaluator, t *xmltree.Tree) []*xmltree.Node {
+	s.bottomUp(e, t)
+	if !s.at(s.sat, 0, 0) {
+		return nil
+	}
+	n, w, out := len(s.nodes), s.w, int(e.out)
+	s.feas, s.anc = zeroed(s.feas, n*w), zeroed(s.anc, n*w)
+	s.hits = s.hits[:0]
+	for v := 0; v < n; v++ {
+		feas, anc := s.row(s.feas, v), s.row(s.anc, v)
+		pv := int(s.parent[v])
+		if pv >= 0 {
+			pfeas, panc := s.row(s.feas, pv), s.row(s.anc, pv)
+			for k := range anc {
+				anc[k] = panc[k] | pfeas[k]
+			}
+		}
+		sat := s.row(s.sat, v)
+		for q := range e.labels {
+			if !has(sat, q) {
+				continue
+			}
+			var ok bool
+			switch pq := int(e.parent[q]); {
+			case pq < 0:
+				ok = v == 0
+			case e.childAx[q]:
+				ok = pv >= 0 && s.at(s.feas, pv, pq)
+			default:
+				ok = has(anc, pq)
+			}
+			if ok {
+				feas[q/64] |= 1 << (q % 64)
+			}
+		}
+		if has(feas, out) {
+			s.hits = append(s.hits, s.nodes[v])
+		}
+	}
+	if len(s.hits) == 0 {
+		return nil
+	}
+	return xmltree.SortByID(append([]*xmltree.Node(nil), s.hits...))
 }

@@ -7,8 +7,9 @@
 // bottom-up subtree-satisfiability pass followed by a top-down context-
 // feasibility pass), in the spirit of the Core XPath algorithm of Gottlob,
 // Koch & Pichler that the paper cites for its polynomial-time operation
-// bounds. A naive embedding enumerator (AllEmbeddings) serves as the
-// specification oracle in tests.
+// bounds. Every entry point runs the compiled bitset engine of
+// compiled.go; a per-node map engine and a naive embedding enumerator
+// live in the tests as differential oracles.
 package match
 
 import (
@@ -16,141 +17,16 @@ import (
 	"xmlconflict/internal/xmltree"
 )
 
-// evalState carries the per-(tree node, pattern node) bit tables for one
-// evaluation. Pattern nodes are indexed by preorder position.
-type evalState struct {
-	p      *pattern.Pattern
-	pnodes []*pattern.Node
-	pindex map[*pattern.Node]int
-	m      int
-
-	// sat[v][q]: the subpattern rooted at q embeds into the subtree rooted
-	// at v with q ↦ v.
-	sat map[*xmltree.Node][]bool
-	// satSub[v][q]: some node in the subtree rooted at v (v included)
-	// satisfies sat[·][q].
-	satSub map[*xmltree.Node][]bool
-}
-
-func newEvalState(p *pattern.Pattern) *evalState {
-	s := &evalState{
-		p:      p,
-		pnodes: p.Nodes(),
-		pindex: map[*pattern.Node]int{},
-		sat:    map[*xmltree.Node][]bool{},
-		satSub: map[*xmltree.Node][]bool{},
-	}
-	s.m = len(s.pnodes)
-	for i, q := range s.pnodes {
-		s.pindex[q] = i
-	}
-	return s
-}
-
 func labelOK(q *pattern.Node, v *xmltree.Node) bool {
 	return q.IsWildcard() || q.Label() == v.Label()
-}
-
-// computeSat fills sat and satSub for the subtree rooted at v, bottom-up.
-func (s *evalState) computeSat(v *xmltree.Node) {
-	for _, c := range v.Children() {
-		s.computeSat(c)
-	}
-	sat := make([]bool, s.m)
-	sub := make([]bool, s.m)
-	// Pattern nodes in reverse preorder: children before parents.
-	for qi := s.m - 1; qi >= 0; qi-- {
-		q := s.pnodes[qi]
-		ok := labelOK(q, v)
-		if ok {
-			for _, qc := range q.Children() {
-				ci := s.pindex[qc]
-				found := false
-				for _, tc := range v.Children() {
-					if qc.Axis() == pattern.Child {
-						if s.sat[tc][ci] {
-							found = true
-							break
-						}
-					} else if s.satSub[tc][ci] {
-						found = true
-						break
-					}
-				}
-				if !found {
-					ok = false
-					break
-				}
-			}
-		}
-		sat[qi] = ok
-		sub[qi] = ok
-		if !sub[qi] {
-			for _, tc := range v.Children() {
-				if s.satSub[tc][qi] {
-					sub[qi] = true
-					break
-				}
-			}
-		}
-	}
-	s.sat[v] = sat
-	s.satSub[v] = sub
 }
 
 // Eval returns [[p]](t): the set of nodes v of t such that some embedding
 // of p into t maps Ø(p) to v. The result is sorted by node identity.
 func Eval(p *pattern.Pattern, t *xmltree.Tree) []*xmltree.Node {
-	s := newEvalState(p)
-	s.computeSat(t.Root())
-	if !s.sat[t.Root()][0] {
-		return nil
-	}
-	// Top-down feasibility: feas[v][q] means a full embedding exists that
-	// maps q to v. Because embeddings of sibling subpatterns are
-	// independent, feas[v][q] = sat[v][q] ∧ (q is the root ∧ v is the root,
-	// or the edge constraint to some feasible image of q's parent holds).
-	feas := map[*xmltree.Node][]bool{}
-	// ancFeas[v][q]: some proper ancestor u of v has feas[u][q].
-	var down func(v *xmltree.Node, anc []bool)
-	outIdx := s.pindex[p.Output()]
-	var result []*xmltree.Node
-	down = func(v *xmltree.Node, anc []bool) {
-		f := make([]bool, s.m)
-		sat := s.sat[v]
-		for qi, q := range s.pnodes {
-			if !sat[qi] {
-				continue
-			}
-			if q.Parent() == nil {
-				f[qi] = v == t.Root()
-				continue
-			}
-			pi := s.pindex[q.Parent()]
-			if q.Axis() == pattern.Child {
-				if pv := v.Parent(); pv != nil && feas[pv][pi] {
-					f[qi] = true
-				}
-			} else if anc[pi] {
-				f[qi] = true
-			}
-		}
-		feas[v] = f
-		if f[outIdx] {
-			result = append(result, v)
-		}
-		if len(v.Children()) > 0 {
-			childAnc := make([]bool, s.m)
-			for qi := range childAnc {
-				childAnc[qi] = anc[qi] || f[qi]
-			}
-			for _, c := range v.Children() {
-				down(c, childAnc)
-			}
-		}
-	}
-	down(t.Root(), make([]bool, s.m))
-	return xmltree.SortByID(result)
+	s := getScratch(p)
+	defer s.release()
+	return s.eval(&s.pat, t)
 }
 
 // EvalSet returns [[p]](t) as a set of node identities.
@@ -165,9 +41,10 @@ func EvalSet(p *pattern.Pattern, t *xmltree.Tree) map[int]bool {
 // Embeds reports whether an embedding of p into t exists at all
 // ([[p]](t) ≠ ∅); it needs only the bottom-up pass.
 func Embeds(p *pattern.Pattern, t *xmltree.Tree) bool {
-	s := newEvalState(p)
-	s.computeSat(t.Root())
-	return s.sat[t.Root()][0]
+	s := getScratch(p)
+	defer s.release()
+	s.bottomUp(&s.pat, t)
+	return s.at(s.sat, 0, 0)
 }
 
 // EmbedsAt reports whether the pattern p embeds into the tree t with the
@@ -176,17 +53,20 @@ func Embeds(p *pattern.Pattern, t *xmltree.Tree) bool {
 // an embedding of SEQ_{n'}^{Ø(R)} into X (v = root of X, anchored) or into
 // some subtree of X (any v).
 func EmbedsAt(p *pattern.Pattern, t *xmltree.Tree, v *xmltree.Node) bool {
-	s := newEvalState(p)
-	s.computeSat(t.Root())
-	return s.sat[v][0]
+	s := getScratch(p)
+	defer s.release()
+	s.bottomUp(&s.pat, t)
+	i := s.index(v)
+	return i >= 0 && s.at(s.sat, i, 0)
 }
 
 // EmbedsAnywhere reports whether p embeds into t with the pattern root
 // mapped to any node of t.
 func EmbedsAnywhere(p *pattern.Pattern, t *xmltree.Tree) bool {
-	s := newEvalState(p)
-	s.computeSat(t.Root())
-	return s.satSub[t.Root()][0]
+	s := getScratch(p)
+	defer s.release()
+	s.bottomUp(&s.pat, t)
+	return s.at(s.sub, 0, 0)
 }
 
 // Embedding is a total assignment of pattern nodes to tree nodes that
@@ -223,86 +103,4 @@ func (e Embedding) Valid(p *pattern.Pattern, t *xmltree.Tree) bool {
 		}
 	}
 	return true
-}
-
-// AllEmbeddings enumerates embeddings of p into t, invoking fn for each
-// until fn returns false or the enumeration is exhausted. It is
-// exponential in the worst case and exists as the specification oracle for
-// Eval and as the embedding chooser of the marking procedure
-// (Definition 9).
-func AllEmbeddings(p *pattern.Pattern, t *xmltree.Tree, fn func(Embedding) bool) {
-	pnodes := p.Nodes()
-	e := Embedding{}
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(pnodes) {
-			cp := Embedding{}
-			for k, v := range e {
-				cp[k] = v
-			}
-			return fn(cp)
-		}
-		q := pnodes[i]
-		var candidates []*xmltree.Node
-		if q.Parent() == nil {
-			candidates = []*xmltree.Node{t.Root()}
-		} else {
-			u := e[q.Parent()]
-			if q.Axis() == pattern.Child {
-				candidates = u.Children()
-			} else {
-				var collect func(n *xmltree.Node)
-				collect = func(n *xmltree.Node) {
-					candidates = append(candidates, n)
-					for _, c := range n.Children() {
-						collect(c)
-					}
-				}
-				for _, c := range u.Children() {
-					collect(c)
-				}
-			}
-		}
-		for _, v := range candidates {
-			if !labelOK(q, v) {
-				continue
-			}
-			e[q] = v
-			if !rec(i + 1) {
-				return false
-			}
-		}
-		delete(e, q)
-		return true
-	}
-	rec(0)
-}
-
-// FindEmbedding returns an embedding of p into t that maps Ø(p) to target
-// (or to any node if target is nil), or nil if none exists.
-func FindEmbedding(p *pattern.Pattern, t *xmltree.Tree, target *xmltree.Node) Embedding {
-	var found Embedding
-	AllEmbeddings(p, t, func(e Embedding) bool {
-		if target == nil || e[p.Output()] == target {
-			found = e
-			return false
-		}
-		return true
-	})
-	return found
-}
-
-// EvalNaive computes [[p]](t) by full embedding enumeration; the test
-// oracle for Eval.
-func EvalNaive(p *pattern.Pattern, t *xmltree.Tree) []*xmltree.Node {
-	seen := map[*xmltree.Node]bool{}
-	AllEmbeddings(p, t, func(e Embedding) bool {
-		seen[e[p.Output()]] = true
-		return true
-	})
-	var out []*xmltree.Node
-	for n := range seen {
-		out = append(out, n)
-	}
-	return xmltree.SortByID(out)
 }

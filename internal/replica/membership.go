@@ -44,15 +44,25 @@ type membersResponse struct {
 	MembersRev   uint64 `json:"members_rev"`
 }
 
+// Roster is one committed membership revision.
+type Roster struct {
+	Epoch   uint64
+	Rev     uint64
+	Members []Member
+}
+
 // Join admits a node to the cluster as a non-voting learner. The node
 // catches up from heartbeats and anti-entropy; the primary promotes it
 // to voter automatically once its reported positions are within a few
-// frames of the log head. Idempotent for an identical (id, url).
-func (n *Node) Join(ctx context.Context, id, urlStr string) error {
+// frames of the log head. Idempotent for an identical (id, url). It
+// returns the committed revision that admitted the node (for a repeat
+// join, the current one): later revisions, such as the promotion,
+// cannot race it.
+func (n *Node) Join(ctx context.Context, id, urlStr string) (Roster, error) {
 	if id == "" || urlStr == "" {
-		return fmt.Errorf("replica: join needs a node id and url")
+		return Roster{}, fmt.Errorf("replica: join needs a node id and url")
 	}
-	return n.commitMembers(ctx, func(ms *memberState) error {
+	ms, err := n.commitMembers(ctx, func(ms *memberState) error {
 		if m, ok := ms.find(id); ok {
 			if m.URL == urlStr {
 				return errMembersUnchanged
@@ -62,6 +72,10 @@ func (n *Node) Join(ctx context.Context, id, urlStr string) error {
 		ms.Members = append(ms.Members, Member{ID: id, URL: urlStr, Learner: true})
 		return nil
 	})
+	if err != nil {
+		return Roster{}, err
+	}
+	return Roster{Epoch: ms.Epoch, Rev: ms.Rev, Members: ms.clone().Members}, nil
 }
 
 // Leave removes a node from the committed membership. Removing the
@@ -74,7 +88,7 @@ func (n *Node) Leave(ctx context.Context, id string) error {
 	if id == "" {
 		return fmt.Errorf("replica: leave needs a node id")
 	}
-	return n.commitMembers(ctx, func(ms *memberState) error {
+	_, err := n.commitMembers(ctx, func(ms *memberState) error {
 		if _, ok := ms.find(id); !ok {
 			return errMembersUnchanged
 		}
@@ -87,12 +101,13 @@ func (n *Node) Leave(ctx context.Context, id string) error {
 		ms.Members = kept
 		return nil
 	})
+	return err
 }
 
 // PromoteVoter commits a learner→voter transition. Idempotent for a
 // node that already votes.
 func (n *Node) PromoteVoter(ctx context.Context, id string) error {
-	return n.commitMembers(ctx, func(ms *memberState) error {
+	_, err := n.commitMembers(ctx, func(ms *memberState) error {
 		for i, m := range ms.Members {
 			if m.ID == id {
 				if !m.Learner {
@@ -104,14 +119,16 @@ func (n *Node) PromoteVoter(ctx context.Context, id string) error {
 		}
 		return fmt.Errorf("replica: node %q is not a member", id)
 	})
+	return err
 }
 
 // commitMembers runs one membership change on the primary: bump Rev
 // under the current epoch, persist locally (through the
 // repl.member.commit site — the crash-drill boundary), then push the
 // revision synchronously and require a majority of the NEW voter set
-// (counting self when it votes) to hold it.
-func (n *Node) commitMembers(ctx context.Context, mutate func(*memberState) error) error {
+// (counting self when it votes) to hold it. It returns the committed
+// revision — the current one when mutate reports no change.
+func (n *Node) commitMembers(ctx context.Context, mutate func(*memberState) error) (memberState, error) {
 	var epoch uint64
 	var next memberState
 	var targets []Peer
@@ -127,6 +144,9 @@ func (n *Node) commitMembers(ctx context.Context, mutate func(*memberState) erro
 		next.Epoch = epoch
 		next.Rev = prev.Rev + 1
 		if err := mutate(&next); err != nil {
+			if errors.Is(err, errMembersUnchanged) {
+				next = prev.clone()
+			}
 			return err
 		}
 		if err := next.validate(); err != nil {
@@ -164,10 +184,10 @@ func (n *Node) commitMembers(ctx context.Context, mutate func(*memberState) erro
 		return nil
 	}()
 	if errors.Is(err, errMembersUnchanged) {
-		return nil
+		return next, nil
 	}
 	if err != nil {
-		return err
+		return memberState{}, err
 	}
 	n.m.Add("repl.member_commits", 1)
 
@@ -201,9 +221,9 @@ func (n *Node) commitMembers(ctx context.Context, mutate func(*memberState) erro
 	}
 	wg.Wait()
 	if need := next.voters()/2 + 1; acked < need {
-		return fmt.Errorf("replica: membership rev %d committed locally but reached only %d of %d required voters (last: %v)", next.Rev, acked, need, firstErr)
+		return memberState{}, fmt.Errorf("replica: membership rev %d committed locally but reached only %d of %d required voters (last: %v)", next.Rev, acked, need, firstErr)
 	}
-	return nil
+	return next, nil
 }
 
 // pushMembersTo ships the committed roster to one peer.

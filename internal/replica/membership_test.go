@@ -165,15 +165,17 @@ func TestJoinUnderLoadPromotesLearnerToVoter(t *testing.T) {
 	defer halt()
 
 	nodeC := addLearner(t, c, "c")
-	if err := a.Join(ctx, "c", nodeC.Self().URL); err != nil {
+	joined, err := a.Join(ctx, "c", nodeC.Self().URL)
+	if err != nil {
 		t.Fatalf("join: %v", err)
 	}
 	// The join is a learner admission: quorum math must not change yet.
-	st := a.Status()
-	if got := len(st.Members); got != 3 {
+	// The revision Join committed shows it; a Status poll could already
+	// see the auto-promotion that follows.
+	if got := len(joined.Members); got != 3 {
 		t.Fatalf("roster size after join = %d, want 3", got)
 	}
-	for _, m := range st.Members {
+	for _, m := range joined.Members {
 		if m.ID == "c" && !m.Learner {
 			t.Fatal("freshly joined node is already a voter")
 		}
@@ -192,7 +194,7 @@ func TestJoinUnderLoadPromotesLearnerToVoter(t *testing.T) {
 	c.waitFor(5*time.Second, "promoted roster to reach every node", func() bool {
 		for _, n := range c.nodes {
 			st := n.Status()
-			if st.MembersRev < 3 { // rev 1 boot, rev 2 join, rev 3 promotion
+			if st.MembersRev < joined.Rev+1 { // the promotion follows the join
 				return false
 			}
 		}
@@ -282,7 +284,7 @@ func TestMemberCommitFaultLeavesRosterRetryable(t *testing.T) {
 	before := a.Status().MembersRev
 
 	faultinject.Arm("repl.member.commit", faultinject.Fault{Kind: faultinject.KindError, Times: 1})
-	err := a.Join(ctx, "x", "http://127.0.0.1:1")
+	_, err := a.Join(ctx, "x", "http://127.0.0.1:1")
 	if err == nil {
 		t.Fatal("join survived the injected commit crash")
 	}
@@ -295,7 +297,7 @@ func TestMemberCommitFaultLeavesRosterRetryable(t *testing.T) {
 		}
 	}
 	// The fault fired once; the retried commit lands.
-	if err := a.Join(ctx, "x", "http://127.0.0.1:1"); err != nil {
+	if _, err := a.Join(ctx, "x", "http://127.0.0.1:1"); err != nil {
 		t.Fatalf("retried join: %v", err)
 	}
 	if got := a.Status().MembersRev; got != before+1 {
@@ -316,17 +318,18 @@ func TestMembershipChangeGuards(t *testing.T) {
 	ctx := context.Background()
 	a := c.nodes["a"]
 
-	if err := a.Join(ctx, "c", "http://127.0.0.1:1"); err != nil {
+	if _, err := a.Join(ctx, "c", "http://127.0.0.1:1"); err != nil {
 		t.Fatalf("join: %v", err)
 	}
 	rev := a.Status().MembersRev
-	if err := a.Join(ctx, "c", "http://127.0.0.1:1"); err != nil {
+	again, err := a.Join(ctx, "c", "http://127.0.0.1:1")
+	if err != nil {
 		t.Fatalf("idempotent re-join: %v", err)
 	}
-	if got := a.Status().MembersRev; got != rev {
-		t.Fatalf("idempotent re-join advanced the roster: %d -> %d", rev, got)
+	if got := a.Status().MembersRev; got != rev || again.Rev != rev {
+		t.Fatalf("idempotent re-join advanced the roster: %d -> %d (returned %d)", rev, got, again.Rev)
 	}
-	if err := a.Join(ctx, "c", "http://127.0.0.1:2"); err == nil {
+	if _, err := a.Join(ctx, "c", "http://127.0.0.1:2"); err == nil {
 		t.Fatal("join accepted an id collision under a different URL")
 	}
 	if err := a.Leave(ctx, "ghost"); err != nil {
@@ -350,7 +353,7 @@ func TestMembershipChangeGuards(t *testing.T) {
 
 	// A backup refuses membership commits: only the primary mutates the
 	// roster.
-	if err := c.nodes["b"].Join(ctx, "z", "http://127.0.0.1:3"); err == nil {
+	if _, err := c.nodes["b"].Join(ctx, "z", "http://127.0.0.1:3"); err == nil {
 		t.Fatal("backup committed a membership change")
 	}
 }
@@ -377,7 +380,7 @@ func TestPromotionAdoptsCommittedRosterFromGranter(t *testing.T) {
 
 	// The join commits at rev 2 through a+c — a majority of the voter
 	// set that never includes b.
-	if err := a.Join(ctx, "x", "http://127.0.0.1:1"); err != nil {
+	if _, err := a.Join(ctx, "x", "http://127.0.0.1:1"); err != nil {
 		t.Fatalf("join behind b's back: %v", err)
 	}
 	if got := a.Status().MembersRev; got != 2 {

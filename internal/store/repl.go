@@ -68,14 +68,11 @@ func (s *Store) pushReplFrame(lsn uint64, payload []byte) {
 	}
 	cp := make([]byte, len(payload))
 	copy(cp, payload)
-	s.replLog = append(s.replLog, ReplFrame{
+	s.replLog.push(ReplFrame{
 		LSN:     lsn,
 		CRC:     crc32.Checksum(cp, castagnoli),
 		Payload: cp,
-	})
-	if excess := len(s.replLog) - s.opts.ReplBuffer; excess > 0 {
-		s.replLog = append([]ReplFrame(nil), s.replLog[excess:]...)
-	}
+	}, s.opts.ReplBuffer)
 }
 
 // FramesSince returns the committed frames with LSN > after, oldest
@@ -99,11 +96,12 @@ func (s *Store) FramesSincePage(after uint64, maxFrames, maxBytes int) (frames [
 	if after >= s.lsn {
 		return nil, false, true
 	}
-	if len(s.replLog) == 0 || s.replLog[0].LSN > after+1 {
+	tail := s.replLog.items()
+	if len(tail) == 0 || tail[0].LSN > after+1 {
 		return nil, false, false
 	}
 	bytes := 0
-	for _, f := range s.replLog {
+	for _, f := range tail {
 		if f.LSN <= after {
 			continue
 		}
@@ -248,9 +246,9 @@ func (s *Store) ApplyFrames(ctx context.Context, frames []ReplFrame, verifiedFlo
 // store cannot prove it holds the sender's write, so it must not be
 // counted as holding it. The caller holds s.mu.
 func (s *Store) verifyOverlapLocked(f ReplFrame) error {
-	if len(s.replLog) > 0 && f.LSN >= s.replLog[0].LSN {
-		if i := int(f.LSN - s.replLog[0].LSN); i < len(s.replLog) {
-			local := s.replLog[i]
+	if tail := s.replLog.items(); len(tail) > 0 && f.LSN >= tail[0].LSN {
+		if i := int(f.LSN - tail[0].LSN); i < len(tail) {
+			local := tail[i]
 			if local.LSN == f.LSN && local.CRC == f.CRC && len(local.Payload) == len(f.Payload) {
 				return nil
 			}
@@ -376,7 +374,7 @@ func (s *Store) ImportState(ctx context.Context, st State) error {
 	}
 	s.docs = newDocs
 	s.advanceLSNLocked(st.LSN)
-	s.replLog = nil
+	s.replLog = boundedLog[ReplFrame]{}
 	s.m.Gauge("store.docs").Set(int64(len(s.docs)))
 	if _, err := s.snapshotLocked(); err != nil {
 		// In-memory state no longer matches anything recoverable from

@@ -154,7 +154,7 @@ type doc struct {
 	tree   *xmltree.Tree
 	lsn    uint64
 	digest string
-	hist   []histEntry
+	hist   boundedLog[histEntry]
 }
 
 // Store is a durable, conflict-scheduled document store. All methods
@@ -171,7 +171,7 @@ type Store struct {
 	lsnCh     chan struct{} // closed (and dropped) whenever lsn advances; see WaitLSN
 	sinceSnap int
 	closed    bool
-	replLog   []ReplFrame // bounded tail of committed frames for shipping
+	replLog   boundedLog[ReplFrame] // bounded tail of committed frames for shipping
 
 	// xferMu guards the resumable state-transfer machinery (separate
 	// from mu: chunk IO must not block the commit path).
@@ -403,10 +403,7 @@ func applyUpdate(d *doc, u ops.Update) (*xmltree.Tree, int, string, error) {
 // newest admission-window entry (it is immutable from here on), the
 // clone becomes current, and the LSNs advance.
 func (s *Store) commitUpdate(d *doc, lsn uint64, kind string, u ops.Update, newTree *xmltree.Tree, digest string) {
-	d.hist = append(d.hist, histEntry{lsn: lsn, preLSN: d.lsn, kind: kind, upd: u, pre: d.tree})
-	if excess := len(d.hist) - s.opts.HistoryWindow; excess > 0 {
-		d.hist = append([]histEntry(nil), d.hist[excess:]...)
-	}
+	d.hist.push(histEntry{lsn: lsn, preLSN: d.lsn, kind: kind, upd: u, pre: d.tree}, s.opts.HistoryWindow)
 	d.tree = newTree
 	d.lsn = lsn
 	d.digest = digest
@@ -428,10 +425,11 @@ func (s *Store) admit(d *doc, op Op, rd *ops.Read, upd ops.Update) error {
 		}
 		return nil
 	}
-	if len(d.hist) == 0 || d.hist[0].preLSN > base {
+	hist := d.hist.items()
+	if len(hist) == 0 || hist[0].preLSN > base {
 		return fmt.Errorf("store: doc %q: base lsn %d: %w", d.id, base, ErrStaleBase)
 	}
-	for _, e := range d.hist {
+	for _, e := range hist {
 		if e.lsn <= base {
 			continue
 		}
@@ -741,7 +739,7 @@ func (s *Store) admitSpanned(parent *span.Span, d *doc, op Op, rd *ops.Read, upd
 	if asp != nil {
 		asp.Set("base_lsn", op.BaseLSN)
 		asp.Set("doc_lsn", d.lsn)
-		asp.Set("window", len(d.hist))
+		asp.Set("window", len(d.hist.items()))
 		// Admission checks run against concrete committed pre-states
 		// (Lemma 1 witness checks), so the existential DetectorCache
 		// never applies here.

@@ -1,10 +1,12 @@
 package xmltree
 
 import (
+	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
-	"sort"
-	"strings"
+	"slices"
+	"sync"
 )
 
 // Code returns a canonical string encoding of the subtree rooted at n.
@@ -14,34 +16,76 @@ import (
 // a node's code is its (escaped) label followed by the sorted codes of its
 // children, wrapped in parentheses.
 func Code(n *Node) string {
-	var b strings.Builder
-	writeCode(&b, n)
-	return b.String()
+	c := getCoder()
+	defer c.release()
+	s := c.code(n)
+	return string(c.bytes(s))
 }
 
-func writeCode(b *strings.Builder, n *Node) {
-	b.WriteByte('(')
-	b.WriteString(escapeLabel(n.label))
+// coder builds AHU codes in one byte buffer: a node's children write
+// their codes one after another, and sorting them permutes those spans
+// in place. It is recycled through coderPool.
+type coder struct {
+	buf   []byte
+	spans []span // stack of child spans of the nodes being encoded
+	tmp   []byte // staging copy for reordering child spans
+}
+
+// span is the code buf[from:to].
+type span struct{ from, to int }
+
+var coderPool = sync.Pool{New: func() any { return new(coder) }}
+
+func getCoder() *coder { return coderPool.Get().(*coder) }
+
+func (c *coder) release() {
+	c.buf, c.spans, c.tmp = c.buf[:0], c.spans[:0], c.tmp[:0]
+	coderPool.Put(c)
+}
+
+func (c *coder) bytes(s span) []byte { return c.buf[s.from:s.to] }
+
+func (c *coder) compare(a, b span) int { return bytes.Compare(c.bytes(a), c.bytes(b)) }
+
+// code appends the code of the subtree rooted at n to buf and returns
+// its span.
+func (c *coder) code(n *Node) span {
+	start := len(c.buf)
+	c.buf = append(c.buf, '(')
+	c.buf = appendEscaped(c.buf, n.label)
 	if len(n.children) > 0 {
-		codes := make([]string, len(n.children))
-		for i, c := range n.children {
-			codes[i] = Code(c)
+		base := len(c.spans)
+		for _, ch := range n.children {
+			s := c.code(ch)
+			c.spans = append(c.spans, s)
 		}
-		sort.Strings(codes)
-		for _, c := range codes {
-			b.WriteString(c)
+		kids := c.spans[base:]
+		if !slices.IsSortedFunc(kids, c.compare) {
+			from := kids[0].from
+			c.tmp = append(c.tmp[:0], c.buf[from:]...)
+			slices.SortFunc(kids, c.compare)
+			at := from
+			for _, k := range kids {
+				at += copy(c.buf[at:], c.tmp[k.from-from:k.to-from])
+			}
 		}
+		c.spans = c.spans[:base]
 	}
-	b.WriteByte(')')
+	c.buf = append(c.buf, ')')
+	return span{start, len(c.buf)}
 }
 
-// escapeLabel makes labels safe inside the parenthesized encoding.
-func escapeLabel(l string) string {
-	if !strings.ContainsAny(l, `()\`) {
-		return l
+// appendEscaped appends a label made safe inside the parenthesized
+// encoding: '(', ')' and '\' gain a backslash.
+func appendEscaped(buf []byte, l string) []byte {
+	for i := 0; i < len(l); i++ {
+		switch l[i] {
+		case '(', ')', '\\':
+			buf = append(buf, '\\')
+		}
+		buf = append(buf, l[i])
 	}
-	r := strings.NewReplacer(`\`, `\\`, `(`, `\(`, `)`, `\)`)
-	return r.Replace(l)
+	return buf
 }
 
 // Digest returns a fixed-length hex digest of the tree's canonical AHU
@@ -50,8 +94,12 @@ func escapeLabel(l string) string {
 // record and snapshot so recovery can re-verify that replay reproduced
 // exactly the tree that was acknowledged.
 func (t *Tree) Digest() string {
-	sum := sha256.Sum256([]byte(Code(t.root)))
-	return hex.EncodeToString(sum[:])
+	c := getCoder()
+	defer c.release()
+	sum := sha256.Sum256(c.bytes(c.code(t.root)))
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
 // Isomorphic reports whether two trees are isomorphic (Definition 1).
@@ -65,9 +113,8 @@ func IsomorphicNodes(a, b *Node) bool {
 	return isoNodes(a, b)
 }
 
-// isoNodes decides isomorphism directly (size, label and recursive
-// multiset comparison) to stay linear-ish without building full codes for
-// clearly different trees.
+// isoNodes decides isomorphism by comparing the two codes, after the
+// cheap label and fan-out checks that settle clearly different trees.
 func isoNodes(a, b *Node) bool {
 	if a.label != b.label || len(a.children) != len(b.children) {
 		return false
@@ -75,22 +122,9 @@ func isoNodes(a, b *Node) bool {
 	if len(a.children) == 0 {
 		return true
 	}
-	ac := make([]string, len(a.children))
-	bc := make([]string, len(b.children))
-	for i, c := range a.children {
-		ac[i] = Code(c)
-	}
-	for i, c := range b.children {
-		bc[i] = Code(c)
-	}
-	sort.Strings(ac)
-	sort.Strings(bc)
-	for i := range ac {
-		if ac[i] != bc[i] {
-			return false
-		}
-	}
-	return true
+	c := getCoder()
+	defer c.release()
+	return c.compare(c.code(a), c.code(b)) == 0
 }
 
 // SameNodeSet reports whether two node slices contain the same node
@@ -122,28 +156,57 @@ func SameNodeSet(a, b []*Node) bool {
 // isomorphic counterpart on the other side) used by the value-based
 // conflict semantics (Definitions 5-6).
 func SameIsoClasses(a, b []*Node) bool {
-	as := map[string]bool{}
-	for _, n := range a {
-		as[Code(n)] = true
-	}
-	bs := map[string]bool{}
-	for _, n := range b {
-		bs[Code(n)] = true
-	}
-	if len(as) != len(bs) {
-		return false
-	}
-	for c := range as {
-		if !bs[c] {
-			return false
+	c := getCoder()
+	defer c.release()
+	for _, ns := range [2][]*Node{a, b} {
+		for _, n := range ns {
+			s := c.code(n)
+			c.spans = append(c.spans, s)
 		}
 	}
-	return true
+	as, bs := c.classes(c.spans[:len(a)]), c.classes(c.spans[len(a):])
+	return slices.EqualFunc(as, bs, func(x, y span) bool { return c.compare(x, y) == 0 })
+}
+
+// classes sorts spans by code and drops duplicate codes.
+func (c *coder) classes(spans []span) []span {
+	slices.SortFunc(spans, c.compare)
+	return slices.CompactFunc(spans, func(x, y span) bool { return c.compare(x, y) == 0 })
+}
+
+// canonicalOrder returns a copy of n's children sorted by code, ties
+// broken by identity: the order the serializers emit. Each child's code
+// is computed once, before sorting.
+func canonicalOrder(n *Node) []*Node {
+	type keyed struct {
+		n    *Node
+		code span
+	}
+	if len(n.children) < 2 {
+		return append([]*Node(nil), n.children...)
+	}
+	c := getCoder()
+	defer c.release()
+	ks := make([]keyed, len(n.children))
+	for i, ch := range n.children {
+		ks[i] = keyed{ch, c.code(ch)}
+	}
+	slices.SortFunc(ks, func(x, y keyed) int {
+		if d := c.compare(x.code, y.code); d != 0 {
+			return d
+		}
+		return cmp.Compare(x.n.id, y.n.id)
+	})
+	out := make([]*Node, len(ks))
+	for i, k := range ks {
+		out[i] = k.n
+	}
+	return out
 }
 
 // SortByID sorts nodes in place by identity and returns the slice; useful
 // for deterministic output of evaluation results.
 func SortByID(ns []*Node) []*Node {
-	sort.Slice(ns, func(i, j int) bool { return ns[i].id < ns[j].id })
+	slices.SortFunc(ns, func(a, b *Node) int { return cmp.Compare(a.id, b.id) })
 	return ns
 }

@@ -16,7 +16,6 @@ package xmltree
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -299,9 +298,7 @@ func writeNode(b *strings.Builder, n *Node) {
 		return
 	}
 	fmt.Fprintf(b, "<%s>", n.label)
-	cs := append([]*Node(nil), n.children...)
-	sort.Slice(cs, func(i, j int) bool { return Code(cs[i]) < Code(cs[j]) })
-	for _, c := range cs {
+	for _, c := range canonicalOrder(n) {
 		writeNode(b, c)
 	}
 	fmt.Fprintf(b, "</%s>", n.label)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -187,18 +186,6 @@ func (e *errWriter) writef(format string, args ...any) {
 	_, e.err = fmt.Fprintf(e.w, format, args...)
 }
 
-func sortedChildren(n *Node) []*Node {
-	cs := append([]*Node(nil), n.children...)
-	sort.Slice(cs, func(i, j int) bool {
-		ci, cj := Code(cs[i]), Code(cs[j])
-		if ci != cj {
-			return ci < cj
-		}
-		return cs[i].id < cs[j].id
-	})
-	return cs
-}
-
 func writeXML(w *errWriter, n *Node) {
 	name := xmlName(n.label)
 	if len(n.children) == 0 {
@@ -206,7 +193,7 @@ func writeXML(w *errWriter, n *Node) {
 		return
 	}
 	w.writef("<%s>", name)
-	for _, c := range sortedChildren(n) {
+	for _, c := range canonicalOrder(n) {
 		writeXML(w, c)
 	}
 	w.writef("</%s>", name)
@@ -220,7 +207,7 @@ func writeXMLIndent(w *errWriter, n *Node, depth int) {
 		return
 	}
 	w.writef("%s<%s>\n", pad, name)
-	for _, c := range sortedChildren(n) {
+	for _, c := range canonicalOrder(n) {
 		writeXMLIndent(w, c, depth+1)
 	}
 	w.writef("%s</%s>\n", pad, name)
