@@ -6,14 +6,15 @@
 package xmlconflict_test
 
 import (
+	"context"
 	"fmt"
-	"io"
 	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"xmlconflict"
 	"xmlconflict/internal/containment"
 	"xmlconflict/internal/core"
 	"xmlconflict/internal/generate"
@@ -448,8 +449,9 @@ restock:
 // BenchmarkE18TelemetryOverhead is the testing.B anchor for experiment
 // E18: the cost of the observability layer on the bounded-search and
 // linear decision procedures, with telemetry channels detached ("off",
-// one nil check per event site), with a stats registry attached, and
-// with the full channel set (stats + JSON tracer + throttled progress).
+// one nil check per counter or span site), with a stats registry
+// attached, and with the full channel set (stats + a fresh span trace
+// per call + throttled progress).
 func BenchmarkE18TelemetryOverhead(b *testing.B) {
 	searchRead := ops.Read{P: xpath.MustParse("a[b][c]/d")}
 	searchDel := ops.Delete{P: xpath.MustParse("z/w")}
@@ -459,33 +461,34 @@ func BenchmarkE18TelemetryOverhead(b *testing.B) {
 		n := linUpd.AddChild(linUpd.Output(), pattern.Child, "a")
 		linUpd.SetOutput(n)
 	}
+	st := telemetry.New()
+	pr := telemetry.NewProgress(func(telemetry.Update) {}, time.Hour)
 	modes := []struct {
 		name string
 		with func(core.SearchOptions) core.SearchOptions
 	}{
 		{"off", func(o core.SearchOptions) core.SearchOptions { return o }},
 		{"stats", func(o core.SearchOptions) core.SearchOptions {
-			return o.WithStats(telemetry.New())
+			return o.WithStats(st)
 		}},
 		{"full", func(o core.SearchOptions) core.SearchOptions {
-			return o.WithStats(telemetry.New()).
-				WithTracer(telemetry.NewJSONTracer(io.Discard)).
-				WithProgress(telemetry.NewProgress(func(telemetry.Update) {}, time.Hour))
+			ctx, _ := xmlconflict.StartTrace(context.Background(), "e18")
+			return o.WithStats(st).WithProgress(pr).WithContext(ctx)
 		}},
 	}
+	// with runs per call: a fresh trace per detection, as a traced request
+	// gets, keeps the span cap from turning the hooks inert.
 	for _, m := range modes {
-		opts := m.with(core.SearchOptions{MaxNodes: 6, MaxCandidates: 10_000})
 		b.Run("search/"+m.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Detect(searchRead, searchDel, ops.NodeSemantics, opts); err != nil {
+				if _, err := core.Detect(searchRead, searchDel, ops.NodeSemantics, m.with(core.SearchOptions{MaxNodes: 6, MaxCandidates: 10_000})); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		lopts := m.with(core.SearchOptions{})
 		b.Run("linear/"+m.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Detect(ops.Read{P: linRead}, ops.Delete{P: linUpd}, ops.NodeSemantics, lopts); err != nil {
+				if _, err := core.Detect(ops.Read{P: linRead}, ops.Delete{P: linUpd}, ops.NodeSemantics, m.with(core.SearchOptions{})); err != nil {
 					b.Fatal(err)
 				}
 			}

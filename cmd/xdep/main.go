@@ -27,6 +27,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -49,7 +50,7 @@ func run(args []string) int {
 	deadline := fs.Duration("deadline", 0, "wall-clock budget for the analysis; pairs searched past it are conservatively assumed dependent (reason \"deadline\")")
 	exec := fs.Bool("run", false, "also execute the program")
 	optimize := fs.Bool("O", false, "apply hoisting and CSE, print the rewritten program")
-	trace := fs.Bool("trace", false, "stream JSON-lines decision-trace events to stderr")
+	trace := fs.Bool("trace", false, "print the decision trace (span tree of every pairwise detection) to stderr afterwards")
 	stats := fs.Bool("stats", false, "print a telemetry counter snapshot to stderr afterwards")
 	progress := fs.Bool("progress", false, "report live search progress on stderr")
 	listen := fs.String("listen", "", "serve /metrics, /debug/pprof, and health probes on this address while running")
@@ -106,7 +107,12 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "xdep: observability on http://%s\n", addr)
 	}
 	if *trace {
-		search = search.WithTracer(xmlconflict.NewJSONTracer(os.Stderr))
+		ctx, tr := xmlconflict.StartTrace(context.Background(), "xdep")
+		search = search.WithContext(ctx)
+		defer func() {
+			tr.Finish()
+			tr.View().WriteTree(os.Stderr)
+		}()
 	}
 	if *progress {
 		search = search.WithProgress(xmlconflict.NewProgressWriter(os.Stderr, 0))

@@ -34,18 +34,6 @@ func dumpTracesOnFailure(t *testing.T, s *server) {
 	})
 }
 
-// treeSpans collects every span with the given name, depth-first.
-func treeSpans(v span.SpanView, name string) []span.SpanView {
-	var out []span.SpanView
-	if v.Name == name {
-		out = append(out, v)
-	}
-	for _, c := range v.Children {
-		out = append(out, treeSpans(c, name)...)
-	}
-	return out
-}
-
 func getTrace(t *testing.T, url, id string) span.TraceView {
 	t.Helper()
 	resp, err := http.Get(url + "/v1/trace/" + id)
@@ -112,10 +100,10 @@ func TestConflictTraceForensics(t *testing.T) {
 	if v.Root.Name != "docs.update" {
 		t.Fatalf("root span = %q, want docs.update", v.Root.Name)
 	}
-	if len(treeSpans(v.Root, "queue.wait")) != 1 {
+	if len(v.Root.Find("queue.wait")) != 1 {
 		t.Fatal("trace does not name the queue wait")
 	}
-	adm := treeSpans(v.Root, "store.admit")
+	adm := v.Root.Find("store.admit")
 	if len(adm) != 1 {
 		t.Fatalf("store.admit spans = %d, want 1", len(adm))
 	}
@@ -141,7 +129,7 @@ func TestConflictTraceForensics(t *testing.T) {
 	// The committed update it collided with shows the durability spans.
 	okv := getTrace(t, ts.URL, okID)
 	for _, name := range []string{"store.update", "store.admit", "store.wal.append", "store.fsync"} {
-		got := treeSpans(okv.Root, name)
+		got := okv.Root.Find(name)
 		if len(got) != 1 {
 			t.Fatalf("committed trace: %s spans = %d, want 1", name, len(got))
 		}
@@ -187,7 +175,7 @@ func TestTraceparentContinuation(t *testing.T) {
 	// The continued trace is fetchable under the caller's ID, and its
 	// tree reaches the detector.
 	v := getTrace(t, ts.URL, tid)
-	if len(treeSpans(v.Root, "detect.cached")) == 0 {
+	if len(v.Root.Find("detect.cached")) == 0 {
 		t.Fatal("continued trace does not reach the detector cache")
 	}
 }

@@ -1,8 +1,9 @@
 // Observe: watching the NP-case witness search work. A branching read
 // pattern forces Detect into the bounded exhaustive search (Section 5 of
 // the paper); attaching the telemetry channels of the observability
-// facade shows the search's progress live, streams its decision-trace
-// events, and ends with a counter snapshot — candidates examined,
+// facade shows the search's progress live, then prints the decision
+// trace — the span tree with the method choice, the search's bounds and
+// budget spend — and a counter snapshot: candidates examined,
 // compiled-pattern cache traffic, minimization savings.
 //
 // Run with:
@@ -11,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -27,13 +29,13 @@ func main() {
 	del := xmlconflict.Delete{P: xmlconflict.MustParseXPath("z/w")}
 
 	st := xmlconflict.NewStats()
-	tracer := xmlconflict.NewTextTracer(os.Stderr)
+	ctx, trace := xmlconflict.StartTrace(context.Background(), "observe")
 	progress := xmlconflict.NewProgressWriter(os.Stderr, 100*time.Millisecond)
 
 	opts := xmlconflict.SearchOptions{MaxNodes: 7, MaxCandidates: 200_000}.
 		WithStats(st).
-		WithTracer(tracer).
-		WithProgress(progress)
+		WithProgress(progress).
+		WithContext(ctx)
 
 	v, err := xmlconflict.Detect(read, del, xmlconflict.NodeSemantics, opts)
 	if err != nil {
@@ -41,6 +43,10 @@ func main() {
 	}
 	fmt.Printf("\nverdict: %s\n", v)
 	fmt.Printf("candidates examined: %d\n\n", v.Candidates)
+	trace.Finish()
+	fmt.Println("decision trace:")
+	trace.View().WriteTree(os.Stdout)
+	fmt.Println()
 	fmt.Println("final stats snapshot:")
 	fmt.Print(st.Snapshot())
 }

@@ -2,6 +2,7 @@ package xmlconflict_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -175,8 +176,9 @@ func TestFacadeConstantsAndAliases(t *testing.T) {
 }
 
 // TestObservabilityFacade exercises the telemetry surface end to end:
-// stats, JSON and text tracers, progress reporting, the parallel
-// searcher's deterministic witness, and observed shrinking.
+// stats, the span trace of a detection (JSON and rendered tree),
+// progress reporting, the parallel searcher's deterministic witness, and
+// observed shrinking.
 func TestObservabilityFacade(t *testing.T) {
 	read := xmlconflict.Read{P: xmlconflict.MustParseXPath("a[q]/b")}
 	ins := xmlconflict.Insert{
@@ -184,22 +186,35 @@ func TestObservabilityFacade(t *testing.T) {
 		X: xmlconflict.MustParseXML("<b/>"),
 	}
 
-	var jsonBuf, textBuf, progBuf bytes.Buffer
+	var treeBuf, progBuf bytes.Buffer
 	st := xmlconflict.NewStats()
 	var updates []xmlconflict.ProgressUpdate
+	ctx, tr := xmlconflict.StartTrace(context.Background(), "facade")
 	opts := xmlconflict.SearchOptions{MaxNodes: 4}.
 		WithStats(st).
-		WithTracer(xmlconflict.NewJSONTracer(&jsonBuf)).
+		WithContext(ctx).
 		WithProgress(xmlconflict.NewProgress(func(u xmlconflict.ProgressUpdate) { updates = append(updates, u) }, 0))
 
 	v, err := xmlconflict.Detect(read, ins, xmlconflict.NodeSemantics, opts)
 	if err != nil || !v.Conflict || v.Candidates == 0 {
 		t.Fatalf("detect: %+v %v", v, err)
 	}
-	for _, line := range strings.Split(strings.TrimSpace(jsonBuf.String()), "\n") {
-		var ev map[string]any
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("trace line not JSON: %q: %v", line, err)
+	tr.Finish()
+	raw, err := json.Marshal(tr.View())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view xmlconflict.SpanView
+	if err := json.Unmarshal(raw, &view); err != nil {
+		t.Fatalf("span view does not round-trip as JSON: %v", err)
+	}
+	srch := view.Root.Find("search")
+	if len(srch) != 1 {
+		t.Fatalf("search spans = %d, want 1: %s", len(srch), raw)
+	}
+	for _, key := range []string{"bound", "alphabet", "candidates", "complete"} {
+		if _, ok := srch[0].Attrs[key]; !ok {
+			t.Fatalf("search span missing %q: %+v", key, srch[0].Attrs)
 		}
 	}
 	if snap := st.Snapshot(); snap.Counter("search.candidates") != int64(v.Candidates) {
@@ -209,15 +224,16 @@ func TestObservabilityFacade(t *testing.T) {
 		t.Fatalf("progress updates: %+v", updates)
 	}
 
-	// Text tracer and progress writer render one line per event/report.
+	// The rendered tree and the progress writer render one line per
+	// span/report.
+	tr.View().WriteTree(&treeBuf)
 	textOpts := xmlconflict.SearchOptions{MaxNodes: 4}.
-		WithTracer(xmlconflict.NewTextTracer(&textBuf)).
 		WithProgress(xmlconflict.NewProgressWriter(&progBuf, 0))
 	if _, err := xmlconflict.Detect(read, ins, xmlconflict.NodeSemantics, textOpts); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(textBuf.String(), "search.start") || !strings.Contains(progBuf.String(), "search:") {
-		t.Fatalf("text outputs missing:\n%s\n%s", textBuf.String(), progBuf.String())
+	if !strings.Contains(treeBuf.String(), "search ") || !strings.Contains(progBuf.String(), "search:") {
+		t.Fatalf("text outputs missing:\n%s\n%s", treeBuf.String(), progBuf.String())
 	}
 
 	// DetectParallel returns the canonical (sequential) witness.
@@ -241,11 +257,16 @@ func TestObservabilityFacade(t *testing.T) {
 		t.Fatalf("linear detect: %+v %v", lv, err)
 	}
 	sst := xmlconflict.NewStats()
+	sctx, str := xmlconflict.StartTrace(context.Background(), "facade")
 	if _, err := xmlconflict.ShrinkWitnessObserved(lv.Witness, lread, lins,
-		xmlconflict.SearchOptions{}.WithStats(sst)); err != nil {
+		xmlconflict.SearchOptions{}.WithStats(sst).WithContext(sctx)); err != nil {
 		t.Fatal(err)
 	}
 	if sst.Snapshot().Counter("shrink.calls") != 1 {
 		t.Fatalf("shrink not counted: %s", sst.Snapshot())
+	}
+	str.Finish()
+	if sh := str.View().Root.Find("shrink"); len(sh) != 1 || sh[0].Attrs["marked"] == nil {
+		t.Fatalf("shrink span: %+v", sh)
 	}
 }

@@ -9,20 +9,21 @@ import (
 // instr bundles the per-call instrumentation channels drawn from
 // SearchOptions. The nil *instr is fully disabled and every method is
 // nil-safe, so instrumented hot paths pay a single pointer check per
-// event site when telemetry is off.
+// counter site when telemetry is off. Decisions (method choice, cut
+// edges, search budget spend) are recorded on the span tree; see
+// spans.go.
 type instr struct {
 	m  *telemetry.Metrics
-	tr telemetry.Tracer
 	pr *telemetry.Progress
 }
 
 // observer extracts the instrumentation bundle from opts, or nil when
 // every channel is disabled.
 func observer(opts SearchOptions) *instr {
-	if opts.Stats == nil && opts.Tracer == nil && opts.Progress == nil {
+	if opts.Stats == nil && opts.Progress == nil {
 		return nil
 	}
-	return &instr{m: opts.Stats, tr: opts.Tracer, pr: opts.Progress}
+	return &instr{m: opts.Stats, pr: opts.Progress}
 }
 
 func (in *instr) metrics() *telemetry.Metrics {
@@ -51,12 +52,6 @@ func (in *instr) timer(name string) func() {
 	return in.m.Timer(name).Start()
 }
 
-func (in *instr) event(name string, fields ...telemetry.Field) {
-	if in != nil {
-		telemetry.Emit(in.tr, name, fields...)
-	}
-}
-
 func (in *instr) progressStart(phase string, total int64) {
 	if in != nil {
 		in.pr.Start(phase, total)
@@ -79,12 +74,6 @@ func (in *instr) progressFinish() {
 // timers into st.
 func (o SearchOptions) WithStats(st *telemetry.Metrics) SearchOptions {
 	o.Stats = st
-	return o
-}
-
-// WithTracer returns a copy of o emitting decision-trace events to t.
-func (o SearchOptions) WithTracer(t telemetry.Tracer) SearchOptions {
-	o.Tracer = t
 	return o
 }
 

@@ -1,21 +1,45 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"testing"
 
 	"xmlconflict/internal/ops"
 	"xmlconflict/internal/telemetry"
+	"xmlconflict/internal/telemetry/span"
 	"xmlconflict/internal/xpath"
 )
+
+// traced returns opts carrying the root span of a fresh trace, and a
+// function finishing the trace and returning its view.
+func traced(opts SearchOptions) (SearchOptions, func() span.TraceView) {
+	tr := span.New("test")
+	return opts.WithContext(span.Context(context.Background(), tr.Root())), func() span.TraceView {
+		tr.Finish()
+		return tr.View()
+	}
+}
+
+// onlySpan returns the single span named name in v.
+func onlySpan(t *testing.T, v span.TraceView, name string) span.SpanView {
+	t.Helper()
+	got := v.Root.Find(name)
+	if len(got) != 1 {
+		var b bytes.Buffer
+		v.WriteTree(&b)
+		t.Fatalf("%d %q spans, want 1:\n%s", len(got), name, b.String())
+	}
+	return got[0]
+}
 
 func TestSearchConflictTelemetry(t *testing.T) {
 	r := ops.Read{P: xpath.MustParse("a[q]/b")}
 	ins := mustInsert("a", "<b/>")
 	st := telemetry.New()
-	rec := telemetry.NewRecorder()
 	var updates []telemetry.Update
 	pr := telemetry.NewProgress(func(u telemetry.Update) { updates = append(updates, u) }, 0)
-	opts := SearchOptions{MaxNodes: 4}.WithStats(st).WithTracer(rec).WithProgress(pr)
+	opts, view := traced(SearchOptions{MaxNodes: 4}.WithStats(st).WithProgress(pr))
 	v, err := SearchConflict(r, ins, ops.NodeSemantics, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -40,22 +64,15 @@ func TestSearchConflictTelemetry(t *testing.T) {
 		t.Fatalf("search.time timer missing or wrong: %+v", snap.Timers)
 	}
 
-	start, ok := rec.First("search.start")
-	if !ok {
-		t.Fatalf("no search.start event: %v", rec.Names())
+	search := onlySpan(t, view(), "search")
+	if search.Attrs["bound"] == nil || search.Attrs["alphabet"] == nil {
+		t.Fatalf("search span missing bounds: %+v", search.Attrs)
 	}
-	if start.Field("bound") == nil || start.Field("alphabet") == nil {
-		t.Fatalf("search.start missing fields: %+v", start)
+	if search.Attrs["conflict"] != true || search.Attrs["complete"] != true {
+		t.Fatalf("search span outcome: %+v", search.Attrs)
 	}
-	done, ok := rec.First("search.done")
-	if !ok {
-		t.Fatalf("no search.done event: %v", rec.Names())
-	}
-	if done.Field("conflict") != true {
-		t.Fatalf("search.done conflict field: %+v", done)
-	}
-	if done.Field("candidates") != v.Candidates {
-		t.Fatalf("search.done candidates %v != verdict %d", done.Field("candidates"), v.Candidates)
+	if search.Attrs["candidates"] != v.Candidates {
+		t.Fatalf("search span candidates %v != verdict %d", search.Attrs["candidates"], v.Candidates)
 	}
 
 	if len(updates) == 0 {
@@ -71,8 +88,8 @@ func TestDetectTelemetryLinear(t *testing.T) {
 	r := ops.Read{P: xpath.MustParse("//C")}
 	ins := mustInsert("/*/B", "<C/>")
 	st := telemetry.New()
-	rec := telemetry.NewRecorder()
-	v, err := Detect(r, ins, ops.NodeSemantics, SearchOptions{}.WithStats(st).WithTracer(rec))
+	opts, view := traced(SearchOptions{}.WithStats(st))
+	v, err := Detect(r, ins, ops.NodeSemantics, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,17 +99,21 @@ func TestDetectTelemetryLinear(t *testing.T) {
 	if v.Candidates != 0 {
 		t.Fatalf("linear verdicts examine no candidates, got %d", v.Candidates)
 	}
-	m, ok := rec.First("detect.method")
-	if !ok || m.Field("method") != "linear" || m.Field("read_linear") != true {
-		t.Fatalf("detect.method event wrong: %+v (%v)", m, rec.Names())
+	det := onlySpan(t, view(), "detect")
+	if det.Attrs["method"] != "linear" || det.Attrs["read_linear"] != true {
+		t.Fatalf("detect span method choice wrong: %+v", det.Attrs)
 	}
-	verdict, ok := rec.First("detect.verdict")
-	if !ok || verdict.Field("conflict") != true || verdict.Field("candidates") != 0 {
-		t.Fatalf("detect.verdict event wrong: %+v", verdict)
+	if det.Attrs["conflict"] != true || det.Attrs["candidates"] != 0 || det.Attrs["detail"] != v.Detail {
+		t.Fatalf("detect span verdict wrong: %+v", det.Attrs)
 	}
-	edge, ok := rec.First("linear.edge")
-	if !ok || edge.Field("cut") == nil {
-		t.Fatalf("no linear.edge cut decision traced: %v", rec.Names())
+	cut := false
+	for _, e := range det.Events {
+		if e.Name == "linear.edge" && e.Attrs["cut"] == true && e.Attrs["word_len"] != nil {
+			cut = true
+		}
+	}
+	if !cut {
+		t.Fatalf("no linear.edge cut decision on the detect span: %+v", det.Events)
 	}
 	snap := st.Snapshot()
 	if snap.Counter("detect.calls") != 1 || snap.Counter("linear.edges_checked") == 0 {
@@ -120,8 +141,8 @@ func TestShrinkWitnessTelemetry(t *testing.T) {
 		n = w.AddChild(n, "pad")
 	}
 	st := telemetry.New()
-	rec := telemetry.NewRecorder()
-	shrunk, err := ShrinkWitnessObserved(w, r, ins, SearchOptions{}.WithStats(st).WithTracer(rec))
+	opts, view := traced(SearchOptions{}.WithStats(st))
+	shrunk, err := ShrinkWitnessObserved(w, r, ins, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +154,29 @@ func TestShrinkWitnessTelemetry(t *testing.T) {
 		snap.Counter("shrink.nodes_after") != int64(shrunk.Size()) {
 		t.Fatalf("shrink size counters wrong: %s (before=%d after=%d)", snap, w.Size(), shrunk.Size())
 	}
-	done, ok := rec.First("shrink.done")
-	if !ok || done.Field("marked") == nil {
-		t.Fatalf("shrink.done event missing: %v", rec.Names())
+	sh := onlySpan(t, view(), "shrink")
+	if sh.Attrs["marked"] == nil || sh.Attrs["nodes_before"] != w.Size() || sh.Attrs["nodes_after"] != shrunk.Size() {
+		t.Fatalf("shrink span attrs wrong: %+v (before=%d after=%d)", sh.Attrs, w.Size(), shrunk.Size())
+	}
+}
+
+// TestUntracedDetectAllocations guards the untraced hot path: with
+// Stats attached and no span in the context, a linear detection builds
+// no decision-event attributes (an attribute-building event site would
+// add one allocation per boxed field).
+func TestUntracedDetectAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	r := ops.Read{P: xpath.MustParse("//C")}
+	ins := mustInsert("/*/B", "<C/>")
+	opts := SearchOptions{}.WithStats(telemetry.New())
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := Detect(r, ins, ops.NodeSemantics, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 78 {
+		t.Fatalf("untraced quickstart Detect: %.0f allocs per call, want <= 78", allocs)
 	}
 }

@@ -7,9 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"xmlconflict/internal/containment"
 	"xmlconflict/internal/ops"
-	"xmlconflict/internal/telemetry"
 	"xmlconflict/internal/xmltree"
 )
 
@@ -33,33 +31,13 @@ import (
 func SearchConflictParallel(r ops.Read, u ops.Update, sem ops.Semantics, opts SearchOptions, workers int) (verdict Verdict, rerr error) {
 	in := observer(opts)
 	defer in.timer("search.time")()
-	r = ops.Read{P: containment.MinimizeStats(r.P, in.metrics())}
-	u = minimizeUpdateStats(u, in.metrics())
-	bound := WitnessBound(r, u)
-	maxNodes := opts.MaxNodes
-	if maxNodes <= 0 || maxNodes > bound {
-		maxNodes = bound
-	}
-	labels := opts.Labels
-	if labels == nil {
-		labels = SearchAlphabet(r, u)
-	}
-	maxCand := opts.MaxCandidates
-	if maxCand <= 0 {
-		maxCand = DefaultMaxCandidates
-	}
+	s := newSweep(r, u, opts, in)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	in.event("search.start",
-		telemetry.F("bound", bound),
-		telemetry.F("max_nodes", maxNodes),
-		telemetry.F("max_candidates", maxCand),
-		telemetry.F("alphabet", len(labels)),
-		telemetry.F("workers", workers))
-	sp := startSearchSpan(opts, bound, maxNodes, maxCand, len(labels), workers)
-	defer func() { endSearchSpan(sp, verdict, rerr) }()
-	in.progressStart("search", int64(maxCand))
+	sp := s.startSpan(workers)
+	defer func() { EndSearchSpan(sp, verdict, rerr) }()
+	in.progressStart("search", int64(s.maxCand))
 
 	// Skeletons, not built trees, cross the channel: the build cost runs
 	// worker-side so the serial producer stays cheap. The sequence number
@@ -90,7 +68,7 @@ func SearchConflictParallel(r ops.Read, u ops.Update, sem ops.Semantics, opts Se
 	var firstErr error
 	checked := make([]int64, workers)
 
-	checker := ops.NewChecker(sem, r, u, opts.Patterns, in.metrics())
+	checker := ops.NewChecker(sem, s.r, s.u, opts.Patterns, in.metrics())
 
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
@@ -102,7 +80,7 @@ func SearchConflictParallel(r ops.Read, u ops.Update, sem ops.Semantics, opts Se
 					racedPast.Add(1)
 					continue
 				}
-				t := c.enc.build(labels)
+				t := c.enc.build(s.labels)
 				checked[id]++
 				ok, err := checker.Witness(t)
 				if err != nil {
@@ -128,35 +106,13 @@ func SearchConflictParallel(r ops.Read, u ops.Update, sem ops.Semantics, opts Se
 		}(i)
 	}
 
-	var examined int64
-	truncated, deadlined, starved := false, false, false
-	var ctxErr error
-	enumerateSkeletons(labels, maxNodes, func(t *encTree) bool {
-		if examined%cancelCheckInterval == 0 {
-			if err := opts.canceled(); err != nil {
-				ctxErr = fmt.Errorf("core: search canceled: %w", err)
-				in.count("search.canceled", 1)
-				return false
-			}
-			if opts.expired() {
-				deadlined = true
-				in.count("search.deadline", 1)
-				return false
-			}
-		}
-		if examined >= int64(maxCand) {
-			truncated = true
+	enumerateSkeletons(s.labels, s.maxNodes, func(t *encTree) bool {
+		if !s.admit() {
 			return false
 		}
-		if !opts.Steps.Take() {
-			starved = true
-			in.count("search.step_budget", 1)
-			return false
-		}
-		examined++
 		in.progressStep(1)
 		select {
-		case cands <- cand{seq: examined, enc: t}:
+		case cands <- cand{seq: int64(s.examined), enc: t}:
 			return true
 		case <-stop:
 			return false
@@ -166,7 +122,7 @@ func SearchConflictParallel(r ops.Read, u ops.Update, sem ops.Semantics, opts Se
 	wg.Wait()
 	in.progressFinish()
 
-	in.count("search.candidates", examined)
+	in.count("search.candidates", int64(s.examined))
 	in.count("search.parallel.raced_past", racedPast.Load())
 	if opts.Patterns == nil {
 		if hits, misses := checker.CacheCounts(); in != nil {
@@ -187,25 +143,18 @@ func SearchConflictParallel(r ops.Read, u ops.Update, sem ops.Semantics, opts Se
 	if firstErr != nil {
 		return Verdict{}, firstErr
 	}
-	if ctxErr != nil && bestWitness == nil {
+	if s.ctxErr != nil && bestWitness == nil {
 		// A witness already in hand when cancellation lands is still a
-		// sound (and complete) verdict; without one the search is void —
-		// the verdict labels the partial sweep for partial-result
-		// consumers, the error stays authoritative.
-		return Verdict{
-			Method:     "search-parallel",
-			Reason:     ReasonCanceled,
-			Detail:     fmt.Sprintf("search canceled after %d candidates", examined),
-			Candidates: int(examined),
-		}, ctxErr
+		// sound (and complete) verdict; without one the search is void.
+		return s.canceledVerdict("search-parallel"), s.ctxErr
+	}
+	if sp != nil {
+		sp.Set("raced_past", racedPast.Load())
+		if bestWitness != nil {
+			sp.Set("witness_seq", bestSeq.Load())
+		}
 	}
 	if bestWitness != nil {
-		in.event("search.done",
-			telemetry.F("conflict", true),
-			telemetry.F("candidates", examined),
-			telemetry.F("witness_nodes", bestWitness.Size()),
-			telemetry.F("witness_seq", bestSeq.Load()),
-			telemetry.F("raced_past", racedPast.Load()))
 		return Verdict{
 			Conflict: true,
 			Witness:  bestWitness,
@@ -213,27 +162,8 @@ func SearchConflictParallel(r ops.Read, u ops.Update, sem ops.Semantics, opts Se
 			Complete: true,
 			Detail: fmt.Sprintf("canonical witness at candidate %d with %d workers (%d candidates raced past)",
 				bestSeq.Load(), workers, racedPast.Load()),
-			Candidates: int(examined),
+			Candidates: s.examined,
 		}, nil
 	}
-	reason := incompleteReason(truncated, deadlined, starved, maxNodes, bound)
-	complete := reason == ""
-	if truncated {
-		in.count("search.truncated", 1)
-	}
-	in.event("search.done",
-		telemetry.F("conflict", false),
-		telemetry.F("candidates", examined),
-		telemetry.F("complete", complete),
-		telemetry.F("reason", reason))
-	detail := fmt.Sprintf("no witness among %d trees of <= %d nodes (%d workers)", examined, maxNodes, workers)
-	switch {
-	case truncated:
-		detail = fmt.Sprintf("search truncated at %d candidates (bound %d nodes)", maxCand, maxNodes)
-	case deadlined:
-		detail = fmt.Sprintf("deadline passed after %d candidates (bound %d nodes)", examined, maxNodes)
-	case starved:
-		detail = fmt.Sprintf("step budget exhausted after %d candidates (bound %d nodes)", examined, maxNodes)
-	}
-	return Verdict{Method: "search-parallel", Complete: complete, Reason: reason, Detail: detail, Candidates: int(examined)}, nil
+	return s.negativeVerdict("search-parallel", fmt.Sprintf(" (%d workers)", workers)), nil
 }

@@ -34,10 +34,6 @@ type SearchOptions struct {
 	// the decision procedures (candidates examined, automata product
 	// sizes, cache traffic, ...). See the WithStats helper.
 	Stats *telemetry.Metrics
-	// Tracer, when non-nil, receives structured decision-trace events
-	// (method selection, per-edge cut decisions, search lifecycle,
-	// final verdicts). See WithTracer.
-	Tracer telemetry.Tracer
 	// Progress, when non-nil, receives throttled progress reports from
 	// the candidate enumeration of the bounded searches. See
 	// WithProgress.
@@ -47,7 +43,10 @@ type SearchOptions struct {
 	// searches poll it between candidates and return its error, so a
 	// caller that goes away (an HTTP client disconnecting, an aborted
 	// program analysis) stops burning a worker promptly. Nil means the
-	// work is never canceled. See WithContext.
+	// work is never canceled. See WithContext. Ctx is also the
+	// observation channel for decisions: a span it carries (see
+	// span.Context) receives the detect/search/shrink spans with the
+	// method choice, per-edge cut decisions, budget spend, and verdict.
 	Ctx context.Context
 	// Deadline, when non-zero, is a wall-clock budget: the bounded
 	// searches poll it alongside the context and, once it passes, stop
@@ -104,62 +103,18 @@ func WitnessBound(r ops.Read, u ops.Update) int {
 func SearchConflict(r ops.Read, u ops.Update, sem ops.Semantics, opts SearchOptions) (verdict Verdict, rerr error) {
 	in := observer(opts)
 	defer in.timer("search.time")()
-	// Minimization preserves [[p]](t) on every tree (homomorphism-
-	// witnessed redundancy only), so the minimized instance has exactly
-	// the same conflicts — with a smaller Lemma 11 bound and alphabet.
-	r = ops.Read{P: containment.MinimizeStats(r.P, in.metrics())}
-	u = minimizeUpdateStats(u, in.metrics())
-	bound := WitnessBound(r, u)
-	maxNodes := opts.MaxNodes
-	if maxNodes <= 0 || maxNodes > bound {
-		maxNodes = bound
-	}
-	labels := opts.Labels
-	if labels == nil {
-		labels = SearchAlphabet(r, u)
-	}
-	maxCand := opts.MaxCandidates
-	if maxCand <= 0 {
-		maxCand = DefaultMaxCandidates
-	}
-	in.event("search.start",
-		telemetry.F("bound", bound),
-		telemetry.F("max_nodes", maxNodes),
-		telemetry.F("max_candidates", maxCand),
-		telemetry.F("alphabet", len(labels)))
-	sp := startSearchSpan(opts, bound, maxNodes, maxCand, len(labels), 1)
-	defer func() { endSearchSpan(sp, verdict, rerr) }()
-	in.progressStart("search", int64(maxCand))
+	s := newSweep(r, u, opts, in)
+	sp := s.startSpan(1)
+	defer func() { EndSearchSpan(sp, verdict, rerr) }()
+	in.progressStart("search", int64(s.maxCand))
 
-	checker := ops.NewChecker(sem, r, u, opts.Patterns, in.metrics())
+	checker := ops.NewChecker(sem, s.r, s.u, opts.Patterns, in.metrics())
 	var witness *xmltree.Tree
 	var checkErr error
-	examined := 0
-	truncated, deadlined, starved, canceled := false, false, false, false
-	EnumerateTrees(labels, maxNodes, func(t *xmltree.Tree) bool {
-		if examined%cancelCheckInterval == 0 {
-			if err := opts.canceled(); err != nil {
-				checkErr = fmt.Errorf("core: search canceled: %w", err)
-				canceled = true
-				in.count("search.canceled", 1)
-				return false
-			}
-			if opts.expired() {
-				deadlined = true
-				in.count("search.deadline", 1)
-				return false
-			}
-		}
-		if examined >= maxCand {
-			truncated = true
+	EnumerateTrees(s.labels, s.maxNodes, func(t *xmltree.Tree) bool {
+		if !s.admit() {
 			return false
 		}
-		if !opts.Steps.Take() {
-			starved = true
-			in.count("search.step_budget", 1)
-			return false
-		}
-		examined++
 		in.progressStep(1)
 		ok, err := checker.Witness(t)
 		if err != nil {
@@ -173,7 +128,7 @@ func SearchConflict(r ops.Read, u ops.Update, sem ops.Semantics, opts SearchOpti
 		return true
 	})
 	in.progressFinish()
-	in.count("search.candidates", int64(examined))
+	in.count("search.candidates", int64(s.examined))
 	if opts.Patterns == nil {
 		// A shared pattern cache accumulates counts across callers; the
 		// holder (the DetectorCache) reports them instead, so a per-search
@@ -183,53 +138,132 @@ func SearchConflict(r ops.Read, u ops.Update, sem ops.Semantics, opts SearchOpti
 			in.count("match.cache_misses", misses)
 		}
 	}
-	if canceled {
-		// The error is authoritative; the verdict labels the partial
-		// sweep for callers assembling well-formed partial results.
-		return Verdict{
-			Method:     "search",
-			Reason:     ReasonCanceled,
-			Detail:     fmt.Sprintf("search canceled after %d candidates", examined),
-			Candidates: examined,
-		}, checkErr
+	if s.ctxErr != nil {
+		return s.canceledVerdict("search"), s.ctxErr
 	}
 	if checkErr != nil {
 		return Verdict{}, checkErr
 	}
 	if witness != nil {
-		in.event("search.done",
-			telemetry.F("conflict", true),
-			telemetry.F("candidates", examined),
-			telemetry.F("witness_nodes", witness.Size()))
 		return Verdict{
 			Conflict:   true,
 			Witness:    witness,
 			Method:     "search",
 			Complete:   true,
-			Detail:     fmt.Sprintf("witness found after %d candidates", examined),
-			Candidates: examined,
+			Detail:     fmt.Sprintf("witness found after %d candidates", s.examined),
+			Candidates: s.examined,
 		}, nil
 	}
-	reason := incompleteReason(truncated, deadlined, starved, maxNodes, bound)
-	complete := reason == ""
-	if truncated {
-		in.count("search.truncated", 1)
+	return s.negativeVerdict("search", ""), nil
+}
+
+// sweep is what the sequential and parallel bounded searches share: the
+// prologue (minimized instance, Lemma 11 bound, clamped node cap,
+// alphabet, candidate cap), the per-candidate budget gate, and the
+// negative-verdict epilogue that reports which limit ended the sweep.
+// The enumeration loops themselves stay with their searchers.
+type sweep struct {
+	r        ops.Read
+	u        ops.Update
+	bound    int
+	maxNodes int
+	maxCand  int
+	labels   []string
+
+	opts SearchOptions
+	in   *instr
+
+	examined                      int
+	truncated, deadlined, starved bool
+	// ctxErr is the cancellation error when opts.Ctx ended the sweep.
+	ctxErr error
+}
+
+func newSweep(r ops.Read, u ops.Update, opts SearchOptions, in *instr) *sweep {
+	// Minimization preserves [[p]](t) on every tree (homomorphism-
+	// witnessed redundancy only), so the minimized instance has exactly
+	// the same conflicts — with a smaller Lemma 11 bound and alphabet.
+	r = ops.Read{P: containment.MinimizeStats(r.P, in.metrics())}
+	u = minimizeUpdateStats(u, in.metrics())
+	s := &sweep{
+		r: r, u: u, bound: WitnessBound(r, u),
+		maxNodes: opts.MaxNodes, maxCand: opts.MaxCandidates, labels: opts.Labels,
+		opts: opts, in: in,
 	}
-	in.event("search.done",
-		telemetry.F("conflict", false),
-		telemetry.F("candidates", examined),
-		telemetry.F("complete", complete),
-		telemetry.F("reason", reason))
-	detail := fmt.Sprintf("no witness among %d trees of <= %d nodes", examined, maxNodes)
+	if s.maxNodes <= 0 || s.maxNodes > s.bound {
+		s.maxNodes = s.bound
+	}
+	if s.labels == nil {
+		s.labels = SearchAlphabet(r, u)
+	}
+	if s.maxCand <= 0 {
+		s.maxCand = DefaultMaxCandidates
+	}
+	return s
+}
+
+// admit is the gate every candidate passes before it is examined: it
+// polls cancellation and the deadline every cancelCheckInterval
+// candidates, then enforces the candidate cap and the shared step
+// budget. It counts the candidate and returns true, or records the
+// limit that ended the sweep and returns false.
+func (s *sweep) admit() bool {
+	if s.examined%cancelCheckInterval == 0 {
+		if err := s.opts.canceled(); err != nil {
+			s.ctxErr = fmt.Errorf("core: search canceled: %w", err)
+			s.in.count("search.canceled", 1)
+			return false
+		}
+		if s.opts.expired() {
+			s.deadlined = true
+			s.in.count("search.deadline", 1)
+			return false
+		}
+	}
+	if s.examined >= s.maxCand {
+		s.truncated = true
+		return false
+	}
+	if !s.opts.Steps.Take() {
+		s.starved = true
+		s.in.count("search.step_budget", 1)
+		return false
+	}
+	s.examined++
+	return true
+}
+
+// canceledVerdict labels a sweep the context canceled. The error is
+// authoritative; the verdict lets callers assembling partial results
+// say what they got.
+func (s *sweep) canceledVerdict(method string) Verdict {
+	return Verdict{
+		Method:     method,
+		Reason:     ReasonCanceled,
+		Detail:     fmt.Sprintf("search canceled after %d candidates", s.examined),
+		Candidates: s.examined,
+	}
+}
+
+// negativeVerdict is the verdict of a sweep that ended without a
+// witness: complete only if it covered the Lemma 11 bound, otherwise
+// carrying the limit that stopped it. suffix qualifies the Detail of an
+// exhaustive sweep.
+func (s *sweep) negativeVerdict(method, suffix string) Verdict {
+	reason := incompleteReason(s.truncated, s.deadlined, s.starved, s.maxNodes, s.bound)
+	if s.truncated {
+		s.in.count("search.truncated", 1)
+	}
+	detail := fmt.Sprintf("no witness among %d trees of <= %d nodes%s", s.examined, s.maxNodes, suffix)
 	switch {
-	case truncated:
-		detail = fmt.Sprintf("search truncated at %d candidates (bound %d nodes)", maxCand, maxNodes)
-	case deadlined:
-		detail = fmt.Sprintf("deadline passed after %d candidates (bound %d nodes)", examined, maxNodes)
-	case starved:
-		detail = fmt.Sprintf("step budget exhausted after %d candidates (bound %d nodes)", examined, maxNodes)
+	case s.truncated:
+		detail = fmt.Sprintf("search truncated at %d candidates (bound %d nodes)", s.maxCand, s.maxNodes)
+	case s.deadlined:
+		detail = fmt.Sprintf("deadline passed after %d candidates (bound %d nodes)", s.examined, s.maxNodes)
+	case s.starved:
+		detail = fmt.Sprintf("step budget exhausted after %d candidates (bound %d nodes)", s.examined, s.maxNodes)
 	}
-	return Verdict{Method: "search", Complete: complete, Reason: reason, Detail: detail, Candidates: examined}, nil
+	return Verdict{Method: method, Complete: reason == "", Reason: reason, Detail: detail, Candidates: s.examined}
 }
 
 // minimizeUpdate rebuilds an update with its pattern minimized.

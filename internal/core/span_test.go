@@ -9,18 +9,6 @@ import (
 	"xmlconflict/internal/xpath"
 )
 
-// findSpans collects every span with the given name, depth-first.
-func findSpans(v span.SpanView, name string) []span.SpanView {
-	var out []span.SpanView
-	if v.Name == name {
-		out = append(out, v)
-	}
-	for _, c := range v.Children {
-		out = append(out, findSpans(c, name)...)
-	}
-	return out
-}
-
 func TestDetectSpanTree(t *testing.T) {
 	tr := span.New("test")
 	opts := SearchOptions{
@@ -38,14 +26,14 @@ func TestDetectSpanTree(t *testing.T) {
 	tr.Finish()
 	v := tr.View()
 
-	det := findSpans(v.Root, "detect")
+	det := v.Root.Find("detect")
 	if len(det) != 1 {
 		t.Fatalf("detect spans = %d, want 1", len(det))
 	}
 	if det[0].Attrs["method"] != "search" || det[0].Open {
 		t.Fatalf("detect span = %+v", det[0])
 	}
-	srch := findSpans(v.Root, "search")
+	srch := v.Root.Find("search")
 	if len(srch) != 1 {
 		t.Fatalf("search spans = %d, want 1", len(srch))
 	}
@@ -56,7 +44,7 @@ func TestDetectSpanTree(t *testing.T) {
 		}
 	}
 	// And the search must be nested under the detect span.
-	if got := findSpans(det[0], "search"); len(got) != 1 {
+	if got := det[0].Find("search"); len(got) != 1 {
 		t.Fatal("search span is not a descendant of the detect span")
 	}
 }
@@ -76,7 +64,7 @@ func TestCacheSpanDispositions(t *testing.T) {
 		}
 	}
 	tr.Finish()
-	spans := findSpans(tr.View().Root, "detect.cached")
+	spans := tr.View().Root.Find("detect.cached")
 	if len(spans) != 2 {
 		t.Fatalf("detect.cached spans = %d, want 2", len(spans))
 	}
@@ -87,10 +75,10 @@ func TestCacheSpanDispositions(t *testing.T) {
 		t.Fatalf("second disposition = %v, want hit", d)
 	}
 	// The miss wraps the actual computation: detect nests under it.
-	if got := findSpans(spans[0], "detect"); len(got) != 1 {
+	if got := spans[0].Find("detect"); len(got) != 1 {
 		t.Fatal("leading computation's detect span not nested under the cache span")
 	}
-	if got := findSpans(spans[1], "detect"); len(got) != 0 {
+	if got := spans[1].Find("detect"); len(got) != 0 {
 		t.Fatal("cache hit must not recompute")
 	}
 }
@@ -108,14 +96,14 @@ func TestBatchSpans(t *testing.T) {
 	}
 	tr.Finish()
 	root := tr.View().Root
-	b := findSpans(root, "batch")
+	b := root.Find("batch")
 	if len(b) != 1 {
 		t.Fatalf("batch spans = %d, want 1", len(b))
 	}
 	if b[0].Attrs["items"] != len(items) {
 		t.Fatalf("batch items attr = %v", b[0].Attrs["items"])
 	}
-	if got := findSpans(b[0], "batch.item"); len(got) != len(items) {
+	if got := b[0].Find("batch.item"); len(got) != len(items) {
 		t.Fatalf("batch.item spans = %d, want %d", len(got), len(items))
 	}
 }

@@ -48,32 +48,6 @@ func counterMap(m *telemetry.Metrics) map[string]int64 {
 	return snap.Counters
 }
 
-// All runs every experiment and returns the tables in order. The seed
-// fixes all workloads; reps scales the averaging effort (1 = quick).
-func All(seed int64, reps int) []Table {
-	return []Table{
-		E1(seed, reps),
-		E2(),
-		E3(seed, reps),
-		E4(seed, reps),
-		E5(seed, reps),
-		E6(seed),
-		E7(),
-		E8(),
-		E9(seed),
-		E10(seed, reps),
-		E11(),
-		E12(),
-		E13(),
-		E14(seed, reps),
-		E15(seed, reps),
-		E16(),
-		E17(seed, reps),
-		E18(seed, reps),
-		E19(seed, reps),
-	}
-}
-
 // ByID runs a single experiment by its identifier.
 func ByID(id string, seed int64, reps int) (Table, error) {
 	switch id {

@@ -1,8 +1,8 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
@@ -11,17 +11,19 @@ import (
 	"xmlconflict/internal/ops"
 	"xmlconflict/internal/pattern"
 	"xmlconflict/internal/telemetry"
+	"xmlconflict/internal/telemetry/span"
 	"xmlconflict/internal/xpath"
 )
 
 // E18 — telemetry overhead. The observability layer's contract is that
-// instrumented hot paths pay a single nil check per event site when no
-// channel is attached; this experiment puts a number on that claim (and
-// on the real cost of attaching each channel) for both decision-
-// procedure shapes: the per-candidate NP-case search loop, where the
-// event sites sit innermost, and the PTIME linear detector.
-// bench_test.go's BenchmarkE18TelemetryOverhead is the testing.B anchor
-// for the same comparison.
+// instrumented hot paths pay a single nil check per counter or span site
+// when no channel is attached, and build no event attributes; this
+// experiment puts a number on that claim (and on the real cost of
+// attaching each channel) for both decision-procedure shapes: the
+// per-candidate NP-case search loop, where the counter sites sit
+// innermost, and the PTIME linear detector, whose per-edge decisions
+// become span events. bench_test.go's BenchmarkE18TelemetryOverhead is
+// the testing.B anchor for the same comparison.
 func E18(seed int64, reps int) Table {
 	t := Table{
 		ID:     "E18",
@@ -50,16 +52,21 @@ func E18(seed int64, reps int) Table {
 		name string
 		with func(core.SearchOptions) core.SearchOptions
 	}
+	// with runs once per call: the span mode opens a fresh trace per
+	// detection, as a traced request does, so the span cap never turns
+	// the hooks inert mid-measurement.
 	stats := telemetry.New()
+	progress := telemetry.NewProgress(func(telemetry.Update) {}, time.Hour)
 	modes := []mode{
 		{"off", func(o core.SearchOptions) core.SearchOptions { return o }},
 		{"stats", func(o core.SearchOptions) core.SearchOptions {
 			return o.WithStats(stats)
 		}},
-		{"stats+trace+progress", func(o core.SearchOptions) core.SearchOptions {
+		{"stats+span+progress", func(o core.SearchOptions) core.SearchOptions {
+			tr := span.New("e18")
 			return o.WithStats(stats).
-				WithTracer(telemetry.NewJSONTracer(io.Discard)).
-				WithProgress(telemetry.NewProgress(func(telemetry.Update) {}, time.Hour))
+				WithProgress(progress).
+				WithContext(span.Context(context.Background(), tr.Root()))
 		}},
 	}
 
@@ -80,9 +87,8 @@ func E18(seed int64, reps int) Table {
 	for _, w := range workloads {
 		var base time.Duration
 		for _, m := range modes {
-			opts := m.with(w.opts)
-			w.run(opts) // warm caches before timing
-			d := timeIt(max(1, reps)*w.scale, func() { w.run(opts) })
+			w.run(m.with(w.opts)) // warm caches before timing
+			d := timeIt(max(1, reps)*w.scale, func() { w.run(m.with(w.opts)) })
 			ratio := "1.00x"
 			if m.name == "off" {
 				base = d
@@ -95,7 +101,7 @@ func E18(seed int64, reps int) Table {
 	t.Metrics = counterMap(stats)
 	t.Notes = append(t.Notes,
 		"expected shape: \"off\" equals an uninstrumented build within noise (the one-nil-check",
-		"claim); \"stats\" adds atomic increments on every event site; the full channel set adds",
-		"JSON encoding per trace event, so its cost is dominated by trace volume")
+		"claim); \"stats\" adds atomic increments on every counter site; the full channel set adds",
+		"a fresh span tree per detection plus one event per linear cut decision")
 	return t
 }

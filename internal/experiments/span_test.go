@@ -3,21 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"testing"
-
-	"xmlconflict/internal/telemetry/span"
 )
-
-// countSpans counts spans with the given name, depth-first.
-func countSpans(v span.SpanView, name string) int {
-	n := 0
-	if v.Name == name {
-		n++
-	}
-	for _, c := range v.Children {
-		n += countSpans(c, name)
-	}
-	return n
-}
 
 func TestMeasureSpanCapturesDetections(t *testing.T) {
 	v, err := MeasureSpan("E3", 1)
@@ -27,7 +13,7 @@ func TestMeasureSpanCapturesDetections(t *testing.T) {
 	if v.Name != "bench.E3" {
 		t.Fatalf("trace name = %q", v.Name)
 	}
-	if n := countSpans(v.Root, "detect"); n == 0 {
+	if n := len(v.Root.Find("detect")); n == 0 {
 		t.Fatalf("representative iteration produced no detect spans (%d root children)", len(v.Root.Children))
 	}
 	// The package-level context must be cleared afterwards so timed

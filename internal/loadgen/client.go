@@ -36,12 +36,6 @@ type Client struct {
 	hc    *http.Client
 }
 
-// NewClient builds a client for the target base URL ("http://host:port");
-// timeout bounds each individual request.
-func NewClient(target string, timeout time.Duration) *Client {
-	return NewFanoutClient([]string{target}, timeout)
-}
-
 // NewFanoutClient builds a client over a cluster of targets.
 func NewFanoutClient(targets []string, timeout time.Duration) *Client {
 	if timeout <= 0 {

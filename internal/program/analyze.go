@@ -2,7 +2,6 @@ package program
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -389,13 +388,4 @@ func (p *Program) Run() (map[string]*xmltree.Tree, map[string][]*xmltree.Node, e
 		}
 	}
 	return docs, reads, nil
-}
-
-// SortStatementsByLine returns the statements ordered by source line; a
-// convenience for deterministic reporting when programs are assembled
-// programmatically.
-func SortStatementsByLine(stmts []Stmt) []Stmt {
-	out := append([]Stmt(nil), stmts...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Line < out[j].Line })
-	return out
 }

@@ -1,12 +1,14 @@
 package schema
 
 import (
+	"context"
 	"testing"
 
 	"xmlconflict/internal/core"
 	"xmlconflict/internal/match"
 	"xmlconflict/internal/ops"
 	"xmlconflict/internal/pattern"
+	"xmlconflict/internal/telemetry/span"
 	"xmlconflict/internal/xmltree"
 	"xmlconflict/internal/xpath"
 )
@@ -175,5 +177,50 @@ func TestCountValid(t *testing.T) {
 	free := core.CountTrees(2, 1) + core.CountTrees(2, 2) + core.CountTrees(2, 3) + core.CountTrees(2, 4)
 	if free <= 2 {
 		t.Fatalf("sanity: unrestricted count = %d", free)
+	}
+}
+
+// TestDetectUnderSchemaSpans: a schema detection records its decision
+// on the span tree — a detect span settling as schema-static for a
+// pruned pair, and a detect span with a nested schema search span
+// (bounds and budget spend) for a searched one.
+func TestDetectUnderSchemaSpans(t *testing.T) {
+	s := MustParse(inventorySchema)
+	traced := func(read string, u ops.Update, opts core.SearchOptions) (core.Verdict, span.TraceView) {
+		t.Helper()
+		tr := span.New("test")
+		opts.Ctx = span.Context(context.Background(), tr.Root())
+		v, err := DetectUnderSchema(ops.Read{P: xpath.MustParse(read)}, u, ops.NodeSemantics, s, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Finish()
+		return v, tr.View()
+	}
+
+	v, view := traced("//low", ins("/inventory/quantity", "<low/>"), core.SearchOptions{})
+	det := view.Root.Find("detect")
+	if len(det) != 1 {
+		t.Fatalf("detect spans = %d, want 1", len(det))
+	}
+	if a := det[0].Attrs; a["method"] != "schema-static" || a["conflict"] != false || a["detail"] != v.Detail || a["update_size"] == nil {
+		t.Fatalf("static detect span attrs: %+v", a)
+	}
+	if got := view.Root.Find("search"); len(got) != 0 {
+		t.Fatalf("a statically pruned pair must not search: %+v", got)
+	}
+
+	v, view = traced("//book/quantity", del("//book[.//low]"), core.SearchOptions{MaxNodes: 6})
+	det = view.Root.Find("detect")
+	if len(det) != 1 || det[0].Attrs["method"] != "schema-search" || det[0].Attrs["conflict"] != true {
+		t.Fatalf("search detect span: %+v", det)
+	}
+	srch := det[0].Find("search")
+	if len(srch) != 1 {
+		t.Fatalf("search spans under detect = %d, want 1", len(srch))
+	}
+	a := srch[0].Attrs
+	if a["schema"] != true || a["max_nodes"] != 6 || a["candidates"] != v.Candidates || a["witness_nodes"] != v.Witness.Size() {
+		t.Fatalf("schema search span attrs: %+v (verdict %+v)", a, v)
 	}
 }

@@ -8,18 +8,6 @@ import (
 	"xmlconflict/internal/telemetry/span"
 )
 
-// storeSpans collects every span with the given name, depth-first.
-func storeSpans(v span.SpanView, name string) []span.SpanView {
-	var out []span.SpanView
-	if v.Name == name {
-		out = append(out, v)
-	}
-	for _, c := range v.Children {
-		out = append(out, storeSpans(c, name)...)
-	}
-	return out
-}
-
 func TestStoreSpanTree(t *testing.T) {
 	s := openTest(t, t.TempDir(), Options{Fsync: FsyncAlways})
 	tr := span.New("test")
@@ -44,14 +32,14 @@ func TestStoreSpanTree(t *testing.T) {
 	v := tr.View()
 
 	// The successful update ran the full pipeline.
-	ups := storeSpans(v.Root, "store.update")
+	ups := v.Root.Find("store.update")
 	if len(ups) != 2 {
 		t.Fatalf("store.update spans = %d, want 2", len(ups))
 	}
 	// FsyncAlways syncs inside the append, so there is no ack wait span.
 	ok := ups[0]
 	for _, name := range []string{"store.admit", "store.apply", "store.wal.append", "store.fsync"} {
-		if got := storeSpans(ok, name); len(got) != 1 {
+		if got := ok.Find(name); len(got) != 1 {
 			t.Fatalf("committed update: %s spans = %d, want 1", name, len(got))
 		}
 	}
@@ -61,7 +49,7 @@ func TestStoreSpanTree(t *testing.T) {
 
 	// The rejected update stopped at admission, with the conflict recorded.
 	rej := ups[1]
-	adm := storeSpans(rej, "store.admit")
+	adm := rej.Find("store.admit")
 	if len(adm) != 1 {
 		t.Fatalf("rejected update: store.admit spans = %d", len(adm))
 	}
@@ -74,7 +62,7 @@ func TestStoreSpanTree(t *testing.T) {
 			t.Fatalf("admit span missing %q: %+v", key, a.Attrs)
 		}
 	}
-	if got := storeSpans(rej, "store.wal.append"); len(got) != 0 {
+	if got := rej.Find("store.wal.append"); len(got) != 0 {
 		t.Fatal("rejected update must not reach the WAL")
 	}
 	// The whole trace is flagged for the flight recorder's conflict ring.
@@ -89,10 +77,10 @@ func TestStoreSpanTree(t *testing.T) {
 	}
 
 	// Create and fsync are visible too.
-	if got := storeSpans(v.Root, "store.create"); len(got) != 1 {
+	if got := v.Root.Find("store.create"); len(got) != 1 {
 		t.Fatalf("store.create spans = %d, want 1", len(got))
 	}
-	if got := storeSpans(v.Root, "store.fsync"); len(got) < 2 {
+	if got := v.Root.Find("store.fsync"); len(got) < 2 {
 		t.Fatalf("store.fsync spans = %d, want >= 2 (create + committed update)", len(got))
 	}
 }
@@ -110,7 +98,7 @@ func TestStoreSpanGroupCommitAck(t *testing.T) {
 	tr.Finish()
 	// Group commit acknowledges after the covering fsync: the wait is a
 	// visible store.ack span on both the create and the update.
-	if got := storeSpans(tr.View().Root, "store.ack"); len(got) < 2 {
+	if got := tr.View().Root.Find("store.ack"); len(got) < 2 {
 		t.Fatalf("store.ack spans = %d, want >= 2", len(got))
 	}
 }

@@ -104,6 +104,19 @@ func attrMap(attrs []Attr) map[string]any {
 	return m
 }
 
+// Find returns every span named name in the subtree rooted at v (v
+// included), depth-first.
+func (v SpanView) Find(name string) []SpanView {
+	var out []SpanView
+	if v.Name == name {
+		out = append(out, v)
+	}
+	for _, c := range v.Children {
+		out = append(out, c.Find(name)...)
+	}
+	return out
+}
+
 // Summary condenses the view to one list entry for /debug/requests.
 func (v TraceView) Summary() TraceSummary {
 	return TraceSummary{
@@ -125,7 +138,7 @@ type TraceSummary struct {
 }
 
 // WriteTree renders the span tree as indented human-readable lines —
-// what `xconflict -span` and `xserve` trace dumps print.
+// what the CLIs' `-trace` flag and `xserve` trace dumps print.
 func (v TraceView) WriteTree(w io.Writer) {
 	fmt.Fprintf(w, "trace %s %s %s%s\n", v.TraceID, v.Name, fmtUs(v.DurationUs), fmtFlags(v.Flags))
 	if v.DroppedSpans > 0 {

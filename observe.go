@@ -13,14 +13,20 @@ import (
 
 // This file is the observability facade: metrics, decision traces, and
 // progress reporting for the detection engine. All instrumentation is
-// opt-in through SearchOptions (see WithStats, WithTracer, WithProgress
-// on SearchOptions); with no channels attached the engine pays a single
-// nil check per event site.
+// opt-in through SearchOptions: WithStats and WithProgress attach the
+// counter registry and the live progress reporter, and a span trace
+// threaded through SearchOptions.Ctx (see StartTrace) records the
+// engine's decisions — method choice, per-edge cut decisions
+// (linear.edge events), search bounds and budget spend, witness
+// shrinking, and verdicts. With nothing attached the engine pays a
+// single nil check per instrumentation site.
 //
 //	st := xmlconflict.NewStats()
-//	tr := xmlconflict.NewJSONTracer(os.Stderr)
+//	ctx, tr := xmlconflict.StartTrace(context.Background(), "detect")
 //	v, err := xmlconflict.Detect(r, u, sem,
-//		xmlconflict.SearchOptions{}.WithStats(st).WithTracer(tr))
+//		xmlconflict.SearchOptions{}.WithStats(st).WithContext(ctx))
+//	tr.Finish()
+//	tr.View().WriteTree(os.Stderr)
 //	fmt.Print(st.Snapshot())
 
 // Stats is a concurrency-safe registry of named counters, gauges, and
@@ -38,31 +44,6 @@ func NewStats() *Stats { return telemetry.New() }
 // StatsSnapshot is a point-in-time copy of a Stats registry. Its String
 // method renders a sorted human-readable listing.
 type StatsSnapshot = telemetry.Snapshot
-
-// Tracer receives the engine's structured decision-trace events: method
-// selection (detect.method), per-edge cut decisions (linear.edge), search
-// lifecycle (search.start, search.done), witness shrinking (shrink.done),
-// and final verdicts (detect.verdict). Attach one with
-// SearchOptions.WithTracer.
-type Tracer = telemetry.Tracer
-
-// TraceField is one key/value pair of a trace event.
-type TraceField = telemetry.Field
-
-// TraceEvent is a recorded trace event (see NewTraceRecorder).
-type TraceEvent = telemetry.TraceEvent
-
-// NewJSONTracer returns a Tracer writing one JSON object per event to w:
-// {"event":"search.start","us":12,...}. Safe for concurrent use.
-func NewJSONTracer(w io.Writer) Tracer { return telemetry.NewJSONTracer(w) }
-
-// NewTextTracer returns a Tracer writing one human-readable line per
-// event to w. Safe for concurrent use.
-func NewTextTracer(w io.Writer) Tracer { return telemetry.NewTextTracer(w) }
-
-// NewTraceRecorder returns a Tracer that records events in memory (for
-// tests and programmatic inspection).
-func NewTraceRecorder() *telemetry.Recorder { return telemetry.NewRecorder() }
 
 // Progress delivers throttled progress reports from the candidate
 // enumerations of the bounded witness searches: candidates done versus
@@ -105,9 +86,10 @@ func ServeObservability(addr string, st *Stats) (io.Closer, string, error) {
 }
 
 // SpanTrace is one request-scoped span tree: the engine's layers
-// (detection method choice, cache disposition, search budget spend,
-// store admission and WAL pipeline) attach child spans to whatever
-// trace rides the SearchOptions context. Create one with StartTrace,
+// (detection method choice and per-edge cut decisions, cache
+// disposition, search budget spend, witness shrinking, store admission
+// and WAL pipeline) attach child spans to whatever trace rides the
+// SearchOptions context. Create one with StartTrace,
 // thread its context via SearchOptions.Ctx (or store CreateCtx /
 // SubmitCtx), Finish it, and render or serialize the View.
 type SpanTrace = span.Trace
@@ -128,7 +110,7 @@ func StartTrace(ctx context.Context, name string) (context.Context, *SpanTrace) 
 
 // ShrinkWitnessObserved is ShrinkWitness reporting the minimization's
 // work (nodes marked, reparenting steps, size before and after) through
-// the telemetry channels of opts.
+// the Stats of opts and a shrink span under the span in opts.Ctx.
 func ShrinkWitnessObserved(w *Tree, r Read, u Update, opts SearchOptions) (*Tree, error) {
 	return core.ShrinkWitnessObserved(w, r, u, opts)
 }
