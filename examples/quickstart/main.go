@@ -33,7 +33,7 @@ func main() {
 	// The witness is a real document: run the operations on it and watch
 	// the read's result change.
 	before := read.Eval(v.Witness)
-	after := v.Witness.Clone()
+	after := v.Witness.Fork()
 	if _, err := insert.Apply(after); err != nil {
 		log.Fatal(err)
 	}

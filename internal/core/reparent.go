@@ -17,12 +17,18 @@ import (
 // STAR-LENGTH(p) = k never creates new results of p among the pre-existing
 // nodes of t.
 func Reparent(t *xmltree.Tree, u, v *xmltree.Node, k int, alpha string) error {
-	if !u.IsAncestorOf(v) {
+	n := pathNodeCount(t.Parents(), u, v)
+	if n < 2 {
 		return fmt.Errorf("core: Reparent: u is not an ancestor of v")
 	}
-	if n := pathNodeCount(u, v); n <= k+3 {
+	if n <= k+3 {
 		return fmt.Errorf("core: Reparent: path from u to v has %d nodes, need more than %d", n, k+3)
 	}
+	return reparent(t, u, v, k, alpha)
+}
+
+// reparent is Reparent without the path checks.
+func reparent(t *xmltree.Tree, u, v *xmltree.Node, k int, alpha string) error {
 	if err := t.Detach(v); err != nil {
 		return err
 	}
@@ -33,11 +39,15 @@ func Reparent(t *xmltree.Tree, u, v *xmltree.Node, k int, alpha string) error {
 	return t.Attach(cur, v)
 }
 
-// pathNodeCount returns the number of nodes on the path from the ancestor
-// u to the descendant v, endpoints included.
-func pathNodeCount(u, v *xmltree.Node) int {
+// pathNodeCount returns the number of nodes on the path from u down to
+// v, endpoints included, given the tree's parent lookup; it is 0 when u
+// is not an ancestor-or-self of v.
+func pathNodeCount(parent map[*xmltree.Node]*xmltree.Node, u, v *xmltree.Node) int {
 	n := 1
-	for m := v; m != u; m = m.Parent() {
+	for m := v; m != u; m = parent[m] {
+		if m == nil {
+			return 0
+		}
 		n++
 	}
 	return n
@@ -70,9 +80,10 @@ func ShrinkWitnessObserved(w *xmltree.Tree, r ops.Read, u ops.Update, opts Searc
 	}()
 	in.count("shrink.calls", 1)
 	in.count("shrink.nodes_before", int64(w.Size()))
+	// t is a private deep copy for the in-place surgery below; after is
+	// a version derived from w, so the surgery never touches its nodes.
 	t := w.Clone()
-	t.ClearModified()
-	after, err := ops.ApplyCopy(u, t)
+	after, err := ops.ApplyCopy(u, w)
 	if err != nil {
 		return nil, err
 	}
@@ -109,15 +120,16 @@ func ShrinkWitnessObserved(w *xmltree.Tree, r ops.Read, u ops.Update, opts Searc
 			return nil, fmt.Errorf("core: ShrinkWitness: internal: no embedding selects the witness node")
 		}
 		points := map[int]bool{}
+		afterParent := after.Parents()
 		for _, img := range eR {
 			if tIDs[img.ID()] {
 				mark(t.NodeByID(img.ID()))
 				continue
 			}
 			// Nearest ancestor that pre-existed is the insertion point.
-			anc := img.Parent()
+			anc := afterParent[img]
 			for anc != nil && !tIDs[anc.ID()] {
-				anc = anc.Parent()
+				anc = afterParent[anc]
 			}
 			if anc == nil {
 				return nil, fmt.Errorf("core: ShrinkWitness: internal: inserted node with no pre-existing ancestor")
@@ -165,7 +177,8 @@ func ShrinkWitnessObserved(w *xmltree.Tree, r ops.Read, u ops.Update, opts Searc
 		}
 		// Topmost ancestor-or-self of nw that vanished.
 		del := nw
-		for p := nw.Parent(); p != nil && !afterIDs[p.ID()]; p = p.Parent() {
+		parent := t.Parents()
+		for p := parent[nw]; p != nil && !afterIDs[p.ID()]; p = parent[p] {
 			del = p
 		}
 		eD := match.FindEmbeddingAt(u.Pattern(), t, del)
@@ -188,24 +201,11 @@ func ShrinkWitnessObserved(w *xmltree.Tree, r ops.Read, u ops.Update, opts Searc
 	// nearest marked ancestor (Lemma 10 preserves the conflict).
 	reparents := 0
 	for {
-		var nFar, nAnc *xmltree.Node
-		for m := range marked {
-			if m.Parent() == nil {
-				continue
-			}
-			anc := m.Parent()
-			for !marked[anc] {
-				anc = anc.Parent()
-			}
-			if pathNodeCount(anc, m) > k+3 {
-				nFar, nAnc = m, anc
-				break
-			}
-		}
+		nFar, nAnc := farMarked(t, marked, k)
 		if nFar == nil {
 			break
 		}
-		if err := Reparent(t, nAnc, nFar, k, alpha); err != nil {
+		if err := reparent(t, nAnc, nFar, k, alpha); err != nil {
 			return nil, err
 		}
 		reparents++
@@ -226,22 +226,7 @@ func ShrinkWitnessObserved(w *xmltree.Tree, r ops.Read, u ops.Update, opts Searc
 		return h
 	}
 	scan(t.Root())
-	var prune func(n *xmltree.Node) error
-	prune = func(n *xmltree.Node) error {
-		for _, c := range append([]*xmltree.Node(nil), n.Children()...) {
-			if !hasMarked[c] {
-				if err := t.DeleteSubtree(c); err != nil {
-					return err
-				}
-			} else if err := prune(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := prune(t.Root()); err != nil {
-		return nil, err
-	}
+	t.Prune(func(n *xmltree.Node) bool { return hasMarked[n] })
 
 	if err := verifyWitness(ops.NodeSemantics, r, u, t, "ShrinkWitness"); err != nil {
 		return nil, err
@@ -254,6 +239,30 @@ func ShrinkWitnessObserved(w *xmltree.Tree, r ops.Read, u ops.Update, opts Searc
 		sp.Set("reparent_steps", reparents)
 	}
 	return t, nil
+}
+
+// farMarked returns, in preorder, a marked node whose nearest marked
+// proper ancestor lies more than k+3 path nodes above it, with that
+// ancestor, or nils when there is none.
+func farMarked(t *xmltree.Tree, marked map[*xmltree.Node]bool, k int) (far, anc *xmltree.Node) {
+	var visit func(n, a *xmltree.Node, depth, aDepth int) bool
+	visit = func(n, a *xmltree.Node, depth, aDepth int) bool {
+		if marked[n] {
+			if a != nil && depth-aDepth+1 > k+3 {
+				far, anc = n, a
+				return true
+			}
+			a, aDepth = n, depth
+		}
+		for _, c := range n.Children() {
+			if visit(c, a, depth+1, aDepth) {
+				return true
+			}
+		}
+		return false
+	}
+	visit(t.Root(), nil, 0, 0)
+	return far, anc
 }
 
 func idSet(ns []*xmltree.Node) map[int]bool {

@@ -24,10 +24,11 @@ func TestReparentShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// v's new path: root, alpha, alpha, v.
-	if got := pathNodeCount(tr.Root(), v); got != 4 {
+	parent := tr.Parents()
+	if got := pathNodeCount(parent, tr.Root(), v); got != 4 {
 		t.Fatalf("path count = %d, want 4", got)
 	}
-	if v.Parent().Label() != "alpha" || v.Parent().Parent().Label() != "alpha" {
+	if parent[v].Label() != "alpha" || parent[parent[v]].Label() != "alpha" {
 		t.Fatalf("alpha chain missing")
 	}
 	// The old chain dangles but is still in the tree.
@@ -74,7 +75,7 @@ func TestLemma9NoNewResults(t *testing.T) {
 			ids[m.ID()] = true
 		}
 		// Reparent the deepest node with respect to the root.
-		if pathNodeCount(tr.Root(), n) <= k+3 {
+		if pathNodeCount(tr.Parents(), tr.Root(), n) <= k+3 {
 			return true
 		}
 		if err := Reparent(tr, tr.Root(), n, k, "zalpha"); err != nil {

@@ -76,16 +76,24 @@ func (e *Evaluator) Embeds(t *xmltree.Tree) bool {
 	return s.at(s.sat, 0, 0)
 }
 
+// EvalLayout computes [[p]](t) and hands fn the preorder layout of t
+// together with the positions of the result in it, ascending. Both are
+// valid only during the call. The path-copying updates of package ops
+// run on it.
+func (e *Evaluator) EvalLayout(t *xmltree.Tree, fn func(l *xmltree.Layout, at []int32)) {
+	s := getScratch(nil)
+	defer s.release()
+	fn(&s.Layout, s.match(e, t))
+}
+
 // scratch is the working memory of one evaluation: the tree laid out in
 // preorder (a subtree is the contiguous range [v, end[v])) and the
 // n×words bit matrices of the two passes. It is recycled through
 // scratchPool, so a warm evaluation allocates only its result.
 type scratch struct {
-	pat    Evaluator // the per-call compilation of the package-level functions
-	nodes  []*xmltree.Node
-	parent []int32
-	end    []int32
-	w      int // words per row of the evaluation in progress
+	pat Evaluator // the per-call compilation of the package-level functions
+	xmltree.Layout
+	w int // words per row of the evaluation in progress
 	// sat[v] holds q when the subpattern rooted at q embeds into the
 	// subtree rooted at v with q ↦ v; sub[v] holds q when sat does at v
 	// or at some descendant of v.
@@ -94,7 +102,7 @@ type scratch struct {
 	// to v; anc[v] is the union of feas over v's proper ancestors.
 	feas, anc []uint64
 	kids      []uint64 // OR of v's children's sat rows, then of their sub rows
-	hits      []*xmltree.Node
+	hits      []int32  // preorder positions of the output node's images
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -112,11 +120,10 @@ func getScratch(p *pattern.Pattern) *scratch {
 // release drops every tree and pattern reference, so the pool retains
 // only plain storage, and returns s to the pool.
 func (s *scratch) release() {
-	clear(s.nodes)
-	clear(s.hits)
+	clear(s.Nodes)
 	clear(s.pat.pnodes)
 	clear(s.pat.labels)
-	s.nodes, s.hits = s.nodes[:0], s.hits[:0]
+	s.Nodes, s.hits = s.Nodes[:0], s.hits[:0]
 	scratchPool.Put(s)
 }
 
@@ -139,26 +146,10 @@ func (s *scratch) at(bits []uint64, v, q int) bool {
 
 func has(row []uint64, q int) bool { return row[q/64]&(1<<(q%64)) != 0 }
 
-func (s *scratch) flatten(t *xmltree.Tree) {
-	s.nodes, s.parent, s.end = s.nodes[:0], s.parent[:0], s.end[:0]
-	s.addNode(t.Root(), -1)
-}
-
-func (s *scratch) addNode(n *xmltree.Node, parent int32) {
-	i := int32(len(s.nodes))
-	s.nodes = append(s.nodes, n)
-	s.parent = append(s.parent, parent)
-	s.end = append(s.end, 0)
-	for _, c := range n.Children() {
-		s.addNode(c, i)
-	}
-	s.end[i] = int32(len(s.nodes))
-}
-
 // index returns v's preorder index in the flattened tree, or -1 when v
 // is not in it.
 func (s *scratch) index(v *xmltree.Node) int {
-	for i, n := range s.nodes {
+	for i, n := range s.Nodes {
 		if n == v {
 			return i
 		}
@@ -170,21 +161,21 @@ func (s *scratch) index(v *xmltree.Node) int {
 // preorder indexes than their parent, so one reverse sweep sees every
 // child row before the parent's.
 func (s *scratch) bottomUp(e *Evaluator, t *xmltree.Tree) {
-	s.flatten(t)
-	n, w := len(s.nodes), e.words
+	s.Reset(t)
+	n, w := len(s.Nodes), e.words
 	s.w = w
 	s.sat, s.sub = zeroed(s.sat, n*w), zeroed(s.sub, n*w)
 	s.kids = zeroed(s.kids, 2*w)
 	kidSat, kidSub := s.kids[:w], s.kids[w:]
 	for v := n - 1; v >= 0; v-- {
 		clear(s.kids)
-		for c := v + 1; c < int(s.end[v]); c = int(s.end[c]) {
+		for c := v + 1; c < int(s.End[v]); c = int(s.End[c]) {
 			for k := 0; k < w; k++ {
 				kidSat[k] |= s.sat[c*w+k]
 				kidSub[k] |= s.sub[c*w+k]
 			}
 		}
-		label := s.nodes[v].Label()
+		label := s.Nodes[v].Label()
 		sat, sub := s.row(s.sat, v), s.row(s.sub, v)
 		for q := range e.labels {
 			if e.embedsHere(q, label, kidSat, kidSub) {
@@ -220,16 +211,30 @@ func (e *Evaluator) embedsHere(q int, label string, kidSat, kidSub []uint64) boo
 // eval runs both passes and returns a fresh, identity-sorted copy of the
 // output node's images (nil when there are none).
 func (s *scratch) eval(e *Evaluator, t *xmltree.Tree) []*xmltree.Node {
+	hits := s.match(e, t)
+	if len(hits) == 0 {
+		return nil
+	}
+	out := make([]*xmltree.Node, len(hits))
+	for i, v := range hits {
+		out[i] = s.Nodes[v]
+	}
+	return xmltree.SortByID(out)
+}
+
+// match runs both passes and returns the preorder positions of the
+// output node's images, ascending, in s's own storage.
+func (s *scratch) match(e *Evaluator, t *xmltree.Tree) []int32 {
 	s.bottomUp(e, t)
 	if !s.at(s.sat, 0, 0) {
 		return nil
 	}
-	n, w, out := len(s.nodes), s.w, int(e.out)
+	n, w, out := len(s.Nodes), s.w, int(e.out)
 	s.feas, s.anc = zeroed(s.feas, n*w), zeroed(s.anc, n*w)
 	s.hits = s.hits[:0]
 	for v := 0; v < n; v++ {
 		feas, anc := s.row(s.feas, v), s.row(s.anc, v)
-		pv := int(s.parent[v])
+		pv := int(s.Parent[v])
 		if pv >= 0 {
 			pfeas, panc := s.row(s.feas, pv), s.row(s.anc, pv)
 			for k := range anc {
@@ -255,11 +260,8 @@ func (s *scratch) eval(e *Evaluator, t *xmltree.Tree) []*xmltree.Node {
 			}
 		}
 		if has(feas, out) {
-			s.hits = append(s.hits, s.nodes[v])
+			s.hits = append(s.hits, int32(v))
 		}
 	}
-	if len(s.hits) == 0 {
-		return nil
-	}
-	return xmltree.SortByID(append([]*xmltree.Node(nil), s.hits...))
+	return s.hits
 }

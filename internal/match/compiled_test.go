@@ -142,14 +142,9 @@ func TestEvaluatorSharedAcrossGoroutines(t *testing.T) {
 	// Whatever the pool holds now must reference no tree or pattern node.
 	for k := 0; k < workers; k++ {
 		s := scratchPool.Get().(*scratch)
-		for _, n := range s.nodes[:cap(s.nodes)] {
+		for _, n := range s.Nodes[:cap(s.Nodes)] {
 			if n != nil {
 				t.Fatalf("pooled scratch retains tree node %d", n.ID())
-			}
-		}
-		for _, n := range s.hits[:cap(s.hits)] {
-			if n != nil {
-				t.Fatalf("pooled scratch retains result node %d", n.ID())
 			}
 		}
 		for _, q := range s.pat.pnodes[:cap(s.pat.pnodes)] {

@@ -29,7 +29,7 @@ func FindEmbeddingAt(p *pattern.Pattern, t *xmltree.Tree, target *xmltree.Node) 
 	for q := int(e.out); q >= 0; q = int(e.parent[q]) {
 		spine = append(spine, q)
 	}
-	for v := tv; v >= 0; v = int(s.parent[v]) {
+	for v := tv; v >= 0; v = int(s.Parent[v]) {
 		path = append(path, v)
 	}
 	slices.Reverse(spine)
@@ -43,7 +43,7 @@ func FindEmbeddingAt(p *pattern.Pattern, t *xmltree.Tree, target *xmltree.Node) 
 	// okAt: spine node q can be mapped to tree node v with all off-spine
 	// subpatterns of q embeddable below v.
 	okAt := func(q, v int) bool {
-		if !e.wildcard[q] && e.labels[q] != s.nodes[v].Label() {
+		if !e.wildcard[q] && e.labels[q] != s.Nodes[v].Label() {
 			return false
 		}
 		for qc := q + 1; qc < int(e.end[q]); qc = int(e.end[qc]) {
@@ -84,7 +84,7 @@ func FindEmbeddingAt(p *pattern.Pattern, t *xmltree.Tree, target *xmltree.Node) 
 	// fill maps the subpattern rooted at q with q ↦ v, greedily top-down.
 	var fill func(q, v int) bool
 	fill = func(q, v int) bool {
-		emb[e.pnodes[q]] = s.nodes[v]
+		emb[e.pnodes[q]] = s.Nodes[v]
 		for qc := q + 1; qc < int(e.end[q]); qc = int(e.end[qc]) {
 			if onSpine[qc] {
 				continue
@@ -110,7 +110,7 @@ func FindEmbeddingAt(p *pattern.Pattern, t *xmltree.Tree, target *xmltree.Node) 
 // descendant-edge image is the topmost satisfying node on the first
 // branch whose sub row holds q.
 func (s *scratch) findImage(e *Evaluator, q, v int) int {
-	for c := v + 1; c < int(s.end[v]); c = int(s.end[c]) {
+	for c := v + 1; c < int(s.End[v]); c = int(s.End[c]) {
 		if e.childAx[q] {
 			if s.at(s.sat, c, q) {
 				return c
@@ -125,7 +125,7 @@ func (s *scratch) findImage(e *Evaluator, q, v int) int {
 				return u
 			}
 			next := -1
-			for d := u + 1; d < int(s.end[u]); d = int(s.end[d]) {
+			for d := u + 1; d < int(s.End[u]); d = int(s.End[d]) {
 				if s.at(s.sub, d, q) {
 					next = d
 					break

@@ -38,6 +38,13 @@ func EvalSet(p *pattern.Pattern, t *xmltree.Tree) map[int]bool {
 	return out
 }
 
+// EvalLayout is Evaluator.EvalLayout for a pattern compiled per call.
+func EvalLayout(p *pattern.Pattern, t *xmltree.Tree, fn func(l *xmltree.Layout, at []int32)) {
+	s := getScratch(p)
+	defer s.release()
+	fn(&s.Layout, s.match(&s.pat, t))
+}
+
 // Embeds reports whether an embedding of p into t exists at all
 // ([[p]](t) ≠ ∅); it needs only the bottom-up pass.
 func Embeds(p *pattern.Pattern, t *xmltree.Tree) bool {
@@ -76,6 +83,7 @@ type Embedding map[*pattern.Node]*xmltree.Node
 // Valid re-checks the four embedding conditions (root-, label-, child- and
 // descendant-edge preservation); it is used by tests.
 func (e Embedding) Valid(p *pattern.Pattern, t *xmltree.Tree) bool {
+	parent := t.Parents()
 	for _, q := range p.Nodes() {
 		v, ok := e[q]
 		if !ok {
@@ -91,10 +99,10 @@ func (e Embedding) Valid(p *pattern.Pattern, t *xmltree.Tree) bool {
 				return false
 			}
 			if q.Axis() == pattern.Child {
-				if v.Parent() != u {
+				if parent[v] != u {
 					return false
 				}
-			} else if !u.IsAncestorOf(v) {
+			} else if !properAncestor(parent, u, v) {
 				return false
 			}
 		}
@@ -103,4 +111,13 @@ func (e Embedding) Valid(p *pattern.Pattern, t *xmltree.Tree) bool {
 		}
 	}
 	return true
+}
+
+func properAncestor(parent map[*xmltree.Node]*xmltree.Node, u, v *xmltree.Node) bool {
+	for a := parent[v]; a != nil; a = parent[a] {
+		if a == u {
+			return true
+		}
+	}
+	return false
 }

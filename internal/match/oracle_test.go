@@ -100,8 +100,8 @@ func refEval(p *pattern.Pattern, t *xmltree.Tree) []*xmltree.Node {
 	feas := map[*xmltree.Node][]bool{}
 	outIdx := s.pindex[p.Output()]
 	var result []*xmltree.Node
-	var down func(v *xmltree.Node, anc []bool)
-	down = func(v *xmltree.Node, anc []bool) {
+	var down func(v, pv *xmltree.Node, anc []bool)
+	down = func(v, pv *xmltree.Node, anc []bool) {
 		f := make([]bool, s.m)
 		sat := s.sat[v]
 		for qi, q := range s.pnodes {
@@ -114,7 +114,7 @@ func refEval(p *pattern.Pattern, t *xmltree.Tree) []*xmltree.Node {
 			}
 			pi := s.pindex[q.Parent()]
 			if q.Axis() == pattern.Child {
-				if pv := v.Parent(); pv != nil && feas[pv][pi] {
+				if pv != nil && feas[pv][pi] {
 					f[qi] = true
 				}
 			} else if anc[pi] {
@@ -130,10 +130,10 @@ func refEval(p *pattern.Pattern, t *xmltree.Tree) []*xmltree.Node {
 			childAnc[qi] = anc[qi] || f[qi]
 		}
 		for _, c := range v.Children() {
-			down(c, childAnc)
+			down(c, v, childAnc)
 		}
 	}
-	down(t.Root(), make([]bool, s.m))
+	down(t.Root(), nil, make([]bool, s.m))
 	return xmltree.SortByID(result)
 }
 
@@ -155,7 +155,8 @@ func refFindEmbeddingAt(p *pattern.Pattern, t *xmltree.Tree, target *xmltree.Nod
 	s := newEvalState(p, t)
 	spine := p.Spine()
 	var path []*xmltree.Node
-	for n := target; n != nil; n = n.Parent() {
+	parent := t.Parents()
+	for n := target; n != nil; n = parent[n] {
 		path = append([]*xmltree.Node{n}, path...)
 	}
 	if path[0] != t.Root() {

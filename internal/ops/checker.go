@@ -73,15 +73,13 @@ func (c *Checker) Witness(t *xmltree.Tree) (bool, error) {
 	if c.vErr != nil {
 		return false, c.vErr
 	}
-	after := t.Clone()
+	after := t.Fork()
 	after.ClearModified()
-	points := c.cache.Get(c.u.Pattern()).Eval(after)
+	ev := c.cache.Get(c.u.Pattern())
 	if c.ins != nil {
-		if err := c.ins.ApplyAt(after, points); err != nil {
-			return false, err
-		}
-	} else if err := c.del.ApplyAt(after, points); err != nil {
-		return false, err
+		c.ins.apply(after, ev)
+	} else {
+		c.del.apply(after, ev)
 	}
 	evR := c.cache.Get(c.r.P)
 	before := evR.Eval(t)
@@ -91,15 +89,7 @@ func (c *Checker) Witness(t *xmltree.Tree) (bool, error) {
 	case NodeSemantics:
 		return !xmltree.SameNodeSet(before, res), nil
 	case TreeSemantics:
-		if !xmltree.SameNodeSet(before, res) {
-			return true, nil
-		}
-		for _, n := range res {
-			if n.Modified() {
-				return true, nil
-			}
-		}
-		return false, nil
+		return !xmltree.SameNodeSet(before, res) || anyModified(after, res), nil
 	case ValueSemantics:
 		return !xmltree.SameIsoClasses(before, res), nil
 	}

@@ -2,7 +2,9 @@
 // Section 3 of "Conflicting XML Updates" with the reference-based
 // (mutating) semantics of XQuery updates and XJ, together with the
 // polynomial-time witness checkers of Lemma 1 for all three conflict
-// semantics (node, tree, value).
+// semantics (node, tree, value). An update turns a tree into a new
+// version that keeps node identities and shares every subtree it did not
+// change with the old one (see xmltree's version.go).
 package ops
 
 import (
@@ -29,10 +31,17 @@ func (r Read) EvalSubtrees(t *xmltree.Tree) []*xmltree.Node {
 	return r.Eval(t)
 }
 
-// Update is an operation that modifies a tree in place: INSERT or DELETE.
+// Update is an operation that produces a new version of a tree: INSERT
+// or DELETE.
 type Update interface {
-	// Apply mutates t, marks modified subtrees, and returns the
-	// insertion/deletion points ([[p]](t) evaluated before mutation).
+	// Apply makes t the updated version and returns the insertion or
+	// deletion points ([[p]](t) evaluated before the update), sorted by
+	// identity. No node reachable from t's old root is ever written: the
+	// nodes on the root-to-point paths are copied, the rest is shared
+	// with the pre-state, and the copies (with the inserted nodes) are
+	// t's modified nodes (Tree.Modified). Insertion points are returned
+	// as the new version's copies; deletion points as the pre-state
+	// nodes, which the new version no longer contains.
 	Apply(t *xmltree.Tree) ([]*xmltree.Node, error)
 	// Pattern returns the operation's tree pattern.
 	Pattern() *pattern.Pattern
@@ -53,24 +62,31 @@ func (i Insert) Pattern() *pattern.Pattern { return i.P }
 // Kind returns "insert".
 func (i Insert) Kind() string { return "insert" }
 
-// Apply mutates t per the paper's semantics: for every insertion point
+// Apply updates t per the paper's semantics: for every insertion point
 // n ∈ [[p]](t), a fresh clone X_i of X (disjoint node identities) is added
 // as a child of n. It returns the insertion points. If [[p]](t) is empty,
 // t is unchanged.
 func (i Insert) Apply(t *xmltree.Tree) ([]*xmltree.Node, error) {
-	points := match.Eval(i.P, t)
-	return points, i.ApplyAt(t, points)
+	return i.apply(t, nil), nil
 }
 
-// ApplyAt performs the insertion at precomputed insertion points (an
-// already-evaluated [[p]](t)), for callers that amortize pattern
-// evaluation (the compiled-evaluator witness Checker).
-func (i Insert) ApplyAt(t *xmltree.Tree, points []*xmltree.Node) error {
-	for _, n := range points {
-		t.Graft(n, i.X)
-		t.MarkModified(n)
+// apply runs the insertion; ev, when not nil, is P compiled (the witness
+// Checker's cached evaluator).
+func (i Insert) apply(t *xmltree.Tree, ev *match.Evaluator) (points []*xmltree.Node) {
+	evalLayout(i.P, ev, t, func(l *xmltree.Layout, at []int32) {
+		points = t.InsertAt(l, at, i.X)
+	})
+	return points
+}
+
+// evalLayout evaluates p on t with ev, its compiled form, or compiles it
+// per call when ev is nil, and hands the layout and result to fn.
+func evalLayout(p *pattern.Pattern, ev *match.Evaluator, t *xmltree.Tree, fn func(*xmltree.Layout, []int32)) {
+	if ev != nil {
+		ev.EvalLayout(t, fn)
+		return
 	}
-	return nil
+	match.EvalLayout(p, t, fn)
 }
 
 // Delete is DELETE_p: evaluate p on t and delete the subtree rooted at
@@ -94,40 +110,41 @@ func (d Delete) Validate() error {
 	return nil
 }
 
-// Apply mutates t: every subtree rooted at a deletion point is removed.
+// Apply updates t: every subtree rooted at a deletion point is removed.
 // Deletion points nested below other deletion points vanish with their
 // ancestors. It returns the deletion points.
 func (d Delete) Apply(t *xmltree.Tree) ([]*xmltree.Node, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	points := match.Eval(d.P, t)
-	return points, d.ApplyAt(t, points)
+	return d.apply(t, nil), nil
 }
 
-// ApplyAt performs the deletion at precomputed deletion points (an
-// already-evaluated [[p]](t)), for callers that amortize pattern
-// evaluation. It does not re-run Validate.
-func (d Delete) ApplyAt(t *xmltree.Tree, points []*xmltree.Node) error {
-	for _, n := range points {
-		if !t.Contains(n) {
-			continue // already removed with a deleted ancestor
+// apply runs the deletion, already validated; ev is as for Insert.apply.
+func (d Delete) apply(t *xmltree.Tree, ev *match.Evaluator) (points []*xmltree.Node) {
+	evalLayout(d.P, ev, t, func(l *xmltree.Layout, at []int32) {
+		if len(at) == 0 {
+			return
 		}
-		parent := n.Parent()
-		if err := t.DeleteSubtree(n); err != nil {
-			return err
+		points = make([]*xmltree.Node, len(at))
+		for k, v := range at {
+			points[k] = l.Nodes[v]
 		}
-		t.MarkModified(parent)
-	}
-	return nil
+		xmltree.SortByID(points)
+		t.DeleteAt(l, at)
+	})
+	return points
 }
 
-// ApplyCopy runs the update on an identity-preserving clone of t and
-// returns the clone; t itself is untouched. Freshly inserted nodes draw
+// ApplyCopy applies the update to a new version of t and returns it; t
+// itself is untouched. The two versions share every subtree the update
+// did not change (Tree.Fork), so the cost is that of the change, not of
+// t. Node identities carry over and freshly inserted nodes draw
 // identities unused by t, so node identity comparisons between t and the
-// result are meaningful (Definition 2).
+// result are meaningful (Definition 2). The result's modified nodes are
+// exactly those the update changed.
 func ApplyCopy(u Update, t *xmltree.Tree) (*xmltree.Tree, error) {
-	c := t.Clone()
+	c := t.Fork()
 	c.ClearModified()
 	if _, err := u.Apply(c); err != nil {
 		return nil, err
@@ -148,8 +165,8 @@ func NodeConflictWitness(r Read, u Update, t *xmltree.Tree) (bool, error) {
 
 // TreeConflictWitness reports whether t witnesses a tree conflict between r
 // and u: either the node sets differ, or some returned subtree was
-// modified by the update. The subtree-modified flags maintained by Apply
-// make the check linear in |t| (Lemma 1).
+// modified by the update. The modified status Apply leaves on the new
+// version makes the check linear in |t| (Lemma 1).
 func TreeConflictWitness(r Read, u Update, t *xmltree.Tree) (bool, error) {
 	after, err := ApplyCopy(u, t)
 	if err != nil {
@@ -160,12 +177,19 @@ func TreeConflictWitness(r Read, u Update, t *xmltree.Tree) (bool, error) {
 	if !xmltree.SameNodeSet(before, res) {
 		return true, nil
 	}
-	for _, n := range res {
-		if n.Modified() {
-			return true, nil
+	return anyModified(after, res), nil
+}
+
+// anyModified reports whether the update that produced after modified
+// the subtree rooted at any of the nodes ns: a node's copy is modified
+// exactly when a change point lies in its subtree.
+func anyModified(after *xmltree.Tree, ns []*xmltree.Node) bool {
+	for _, n := range ns {
+		if after.Modified(n) {
+			return true
 		}
 	}
-	return false, nil
+	return false
 }
 
 // ValueConflictWitness reports whether t witnesses a value conflict between
@@ -197,16 +221,7 @@ func FiredSemantics(r Read, u Update, t *xmltree.Tree) ([]Semantics, error) {
 	if !sameNodes {
 		fired = append(fired, NodeSemantics)
 	}
-	treeFired := !sameNodes
-	if !treeFired {
-		for _, n := range res {
-			if n.Modified() {
-				treeFired = true
-				break
-			}
-		}
-	}
-	if treeFired {
+	if !sameNodes || anyModified(after, res) {
 		fired = append(fired, TreeSemantics)
 	}
 	if !xmltree.SameIsoClasses(before, res) {
@@ -258,7 +273,7 @@ func (s Semantics) String() string {
 	}
 }
 
-// CommuteWitness reports whether applying u1 then u2 to (clones of) t
+// CommuteWitness reports whether applying u1 then u2 to (versions of) t
 // yields a tree that is not isomorphic to applying u2 then u1. It realizes
 // the informal Section 6 definition of conflicts between two updates under
 // value-based semantics, where the fresh-clone identity problem of the

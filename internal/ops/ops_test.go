@@ -19,6 +19,7 @@ func TestReadEval(t *testing.T) {
 
 func TestInsertApply(t *testing.T) {
 	tr := xmltree.MustParse("<inv><book><q/></book><book/></inv>")
+	tr.ClearModified()
 	ins := Insert{P: xpath.MustParse("//book[q]"), X: xmltree.MustParse("<restock/>")}
 	points, err := ins.Apply(tr)
 	if err != nil {
@@ -33,9 +34,14 @@ func TestInsertApply(t *testing.T) {
 	if tr.Size() != 5 {
 		t.Fatalf("size = %d, want 5", tr.Size())
 	}
-	// Modified flags: the insertion point and its ancestors.
-	if !points[0].Modified() || !tr.Root().Modified() {
-		t.Fatalf("modified flags not set")
+	// Modified: the insertion point and its ancestors, not the other book.
+	if !tr.Modified(points[0]) || !tr.Modified(tr.Root()) {
+		t.Fatalf("modified status not set")
+	}
+	for _, b := range tr.Root().Children() {
+		if b != points[0] && tr.Modified(b) {
+			t.Fatalf("untouched book reported modified")
+		}
 	}
 }
 
@@ -74,6 +80,7 @@ func TestInsertFreshClones(t *testing.T) {
 
 func TestDeleteApply(t *testing.T) {
 	tr := xmltree.MustParse("<r><a><x/></a><a/><b/></r>")
+	tr.ClearModified()
 	d := Delete{P: xpath.MustParse("r/a")}
 	points, err := d.Apply(tr)
 	if err != nil {
@@ -85,8 +92,8 @@ func TestDeleteApply(t *testing.T) {
 	if tr.Size() != 2 {
 		t.Fatalf("size = %d, want 2: %s", tr.Size(), tr.XML())
 	}
-	if !tr.Root().Modified() {
-		t.Fatalf("modified flag not set on root")
+	if !tr.Modified(tr.Root()) || tr.Modified(tr.Root().Children()[0]) {
+		t.Fatalf("modified status: want the root only")
 	}
 }
 

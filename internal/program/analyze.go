@@ -363,29 +363,59 @@ func (a *Analysis) Report() string {
 	return b.String()
 }
 
-// Run executes the program: doc statements bind trees, updates mutate them
-// in place, reads record their results. It returns the final documents and
-// the read results by variable name.
+// Run executes the program: doc statements bind trees, updates change
+// them, reads record their results. It returns the final documents and
+// the read results by variable name. A read returns node references: each
+// referenced node is reported as it stands in the last version of its
+// document that still contains it, so its subtree reflects every later
+// update until the node is deleted (the reference semantics of XQuery
+// updates and XJ).
 func (p *Program) Run() (map[string]*xmltree.Tree, map[string][]*xmltree.Node, error) {
 	docs := map[string]*xmltree.Tree{}
 	reads := map[string][]*xmltree.Node{}
+	readOn := map[string]*xmltree.Tree{} // the document each read ran on
 	for _, s := range p.Stmts {
 		switch s.Kind {
 		case KindDoc:
-			docs[s.Var] = s.XML.Clone()
+			docs[s.Var] = s.XML.Fork()
 		case KindRead:
 			reads[s.Var] = ops.Read{P: s.Pattern}.Eval(docs[s.Doc])
+			readOn[s.Var] = docs[s.Doc]
 		case KindAlias:
 			reads[s.Var] = reads[s.AliasOf]
+			readOn[s.Var] = readOn[s.AliasOf]
 		case KindInsert:
 			if _, err := (ops.Insert{P: s.Pattern, X: s.XML}).Apply(docs[s.Doc]); err != nil {
 				return nil, nil, fmt.Errorf("%s: %w", s, err)
 			}
+			relink(docs[s.Doc], reads, readOn)
 		case KindDelete:
 			if _, err := (ops.Delete{P: s.Pattern}).Apply(docs[s.Doc]); err != nil {
 				return nil, nil, fmt.Errorf("%s: %w", s, err)
 			}
+			relink(docs[s.Doc], reads, readOn)
 		}
 	}
 	return docs, reads, nil
+}
+
+// relink moves the read results taken on t to t's new version: an update
+// copies the nodes it changes, so each result is re-resolved by identity.
+// A deleted node keeps its last version.
+func relink(t *xmltree.Tree, reads map[string][]*xmltree.Node, readOn map[string]*xmltree.Tree) {
+	var live map[int]*xmltree.Node
+	for v, ns := range reads {
+		if readOn[v] != t {
+			continue
+		}
+		if live == nil {
+			live = map[int]*xmltree.Node{}
+			t.Walk(func(n *xmltree.Node) bool { live[n.ID()] = n; return true })
+		}
+		for i, n := range ns {
+			if m := live[n.ID()]; m != nil {
+				ns[i] = m
+			}
+		}
+	}
 }

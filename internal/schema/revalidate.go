@@ -17,7 +17,8 @@ import (
 // proportional to the changed region, not the document.
 
 // RevalidateInsert checks that t remains valid after an Insert produced
-// the given insertion points, assuming t was valid before the update ran.
+// the given insertion points (t's nodes, as Insert.Apply returns them),
+// assuming t was valid before the update ran.
 // It re-checks only each point's child counts and the inserted payload
 // (validated once — all clones are isomorphic). It returns nil when the
 // updated document is valid.
@@ -44,15 +45,30 @@ func (s *Schema) RevalidateInsert(t *xmltree.Tree, ins ops.Insert, points []*xml
 
 // RevalidateDelete checks that t remains valid after a Delete removed
 // subtrees whose parents are given, assuming t was valid before. Only the
-// parents' content constraints can be affected. Parents that were
-// themselves deleted (nested deletion points) are skipped.
+// parents' content constraints can be affected. The parents may be nodes
+// of the pre-state (the only version where a deletion point has a
+// parent): the update copied them, so each is re-resolved by identity on
+// t's current version. Parents that were themselves deleted (nested
+// deletion points) are skipped.
 func (s *Schema) RevalidateDelete(t *xmltree.Tree, parents []*xmltree.Node) error {
 	s.metrics.Add("schema.revalidate.delete_parents", int64(len(parents)))
+	live := make(map[int]*xmltree.Node, len(parents))
 	for _, p := range parents {
-		if p == nil || !t.Contains(p) {
+		if p != nil {
+			live[p.ID()] = nil
+		}
+	}
+	t.Walk(func(n *xmltree.Node) bool {
+		if _, ok := live[n.ID()]; ok {
+			live[n.ID()] = n
+		}
+		return true
+	})
+	for _, p := range parents {
+		if p == nil || live[p.ID()] == nil {
 			continue
 		}
-		if err := s.checkContent(p); err != nil {
+		if err := s.checkContent(live[p.ID()]); err != nil {
 			return err
 		}
 	}
@@ -106,16 +122,15 @@ func (s *Schema) validateSubtree(n *xmltree.Node) error {
 }
 
 // ApplyValidated applies the update to t only if the result stays valid:
-// it runs the update on an identity-preserving copy, revalidates
-// incrementally, and returns the updated document or an error describing
-// the violation (t is never modified). This is the transactional pattern
-// the revalidation line of work supports.
+// it runs the update on a new version of t (sharing every unchanged
+// subtree), revalidates incrementally, and returns the updated document
+// or an error describing the violation (t is never modified). This is the
+// transactional pattern the revalidation line of work supports.
 func (s *Schema) ApplyValidated(t *xmltree.Tree, u ops.Update) (*xmltree.Tree, error) {
 	if err := s.Validate(t); err != nil {
 		return nil, fmt.Errorf("schema: input document invalid: %w", err)
 	}
-	c := t.Clone()
-	c.ClearModified()
+	c := t.Fork()
 	switch v := u.(type) {
 	case ops.Insert:
 		points, err := v.Apply(c)
@@ -134,18 +149,16 @@ func (s *Schema) ApplyValidated(t *xmltree.Tree, u ops.Update) (*xmltree.Tree, e
 			return nil, err
 		}
 	case ops.Delete, *ops.Delete:
-		// Record parents before applying: deletion points vanish.
-		del, _ := u.(ops.Delete)
-		if pd, ok := u.(*ops.Delete); ok {
-			del = *pd
-		}
-		prePoints := ops.Read{P: del.P}.Eval(c)
-		parents := make([]*xmltree.Node, 0, len(prePoints))
-		for _, p := range prePoints {
-			parents = append(parents, p.Parent())
-		}
-		if _, err := del.Apply(c); err != nil {
+		// The deletion points are pre-state nodes: their parents are
+		// looked up in t and re-resolved on c by RevalidateDelete.
+		points, err := u.Apply(c)
+		if err != nil {
 			return nil, err
+		}
+		parent := t.Parents()
+		parents := make([]*xmltree.Node, len(points))
+		for i, p := range points {
+			parents[i] = parent[p]
 		}
 		if err := s.RevalidateDelete(c, parents); err != nil {
 			return nil, err

@@ -385,23 +385,25 @@ func (s *Store) parseUpdate(op Op) (ops.Update, string, error) {
 	return nil, "", fmt.Errorf("store: unknown update kind %q", op.Kind)
 }
 
-// applyUpdate runs u on an identity-preserving clone of d's tree and
-// returns the new tree, the application points, and the new digest.
-// The document itself is untouched until commitUpdate swaps the clone
-// in — so a failed append never leaves a half-applied document.
+// applyUpdate runs u on a new version of d's tree and returns it, the
+// application points, and the new digest. The new version shares every
+// subtree u did not change with d.tree (Tree.Fork), and no node of d.tree
+// is written: the document is untouched until commitUpdate swaps the new
+// version in — so a failed append never leaves a half-applied document —
+// and the old version stays intact as an admission-window pre-state and
+// for reads still serializing it.
 func applyUpdate(d *doc, u ops.Update) (*xmltree.Tree, int, string, error) {
-	clone := d.tree.Clone()
-	clone.ClearModified()
-	points, err := u.Apply(clone)
+	next := d.tree.Fork()
+	points, err := u.Apply(next)
 	if err != nil {
 		return nil, 0, "", err
 	}
-	return clone, len(points), clone.Digest(), nil
+	return next, len(points), next.Digest(), nil
 }
 
 // commitUpdate publishes an applied update: the old tree becomes the
-// newest admission-window entry (it is immutable from here on), the
-// clone becomes current, and the LSNs advance.
+// newest admission-window entry (every version is immutable), the new
+// version becomes current, and the LSNs advance.
 func (s *Store) commitUpdate(d *doc, lsn uint64, kind string, u ops.Update, newTree *xmltree.Tree, digest string) {
 	d.hist.push(histEntry{lsn: lsn, preLSN: d.lsn, kind: kind, upd: u, pre: d.tree}, s.opts.HistoryWindow)
 	d.tree = newTree
@@ -636,29 +638,37 @@ func (s *Store) submitRead(ctx context.Context, id string, op Op) (Result, error
 	}
 	rd := ops.Read{P: p}
 
+	// The admission check needs the lock; the version it admits against
+	// is immutable, so evaluation and serialization run after it is
+	// released.
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		sp.Fail(ErrClosed)
 		return Result{}, ErrClosed
 	}
 	d, ok := s.docs[id]
 	if !ok {
+		s.mu.Unlock()
 		err := fmt.Errorf("store: doc %q: %w", id, ErrNotFound)
 		sp.Fail(err)
 		return Result{}, err
 	}
 	if err := s.admitSpanned(sp, d, op, &rd, nil); err != nil {
+		s.mu.Unlock()
 		return Result{}, err
 	}
-	nodes := xmltree.SortByID(rd.Eval(d.tree))
+	tree, lsn, digest := d.tree, d.lsn, d.digest
+	s.mu.Unlock()
+
+	nodes := rd.Eval(tree)
 	out := make([]string, len(nodes))
 	for i, n := range nodes {
-		out[i] = d.tree.CloneSubtree(n).XML()
+		out[i] = n.XML()
 	}
 	s.m.Add("store.reads", 1)
 	sp.Set("nodes", len(out))
-	return Result{Doc: id, LSN: d.lsn, Digest: d.digest, Nodes: out}, nil
+	return Result{Doc: id, LSN: lsn, Digest: digest, Nodes: out}, nil
 }
 
 func (s *Store) submitUpdate(ctx context.Context, id string, op Op) (Result, error) {

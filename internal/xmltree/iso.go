@@ -129,8 +129,33 @@ func isoNodes(a, b *Node) bool {
 
 // SameNodeSet reports whether two node slices contain the same node
 // identities (Definition 2 applied to operation results). Duplicates are
-// ignored; evaluation results are sets.
+// ignored; evaluation results are sets. Identity-sorted inputs (every
+// evaluator result is) are compared by one merge, allocation-free.
 func SameNodeSet(a, b []*Node) bool {
+	if !sortedByID(a) || !sortedByID(b) {
+		return sameNodeSetUnsorted(a, b)
+	}
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		id := a[i].id
+		if b[j].id != id {
+			return false
+		}
+		for i < len(a) && a[i].id == id {
+			i++
+		}
+		for j < len(b) && b[j].id == id {
+			j++
+		}
+	}
+	return i == len(a) && j == len(b)
+}
+
+func sortedByID(ns []*Node) bool {
+	return slices.IsSortedFunc(ns, func(a, b *Node) int { return cmp.Compare(a.id, b.id) })
+}
+
+func sameNodeSetUnsorted(a, b []*Node) bool {
 	as := map[int]bool{}
 	for _, n := range a {
 		as[n.id] = true

@@ -21,15 +21,19 @@ import (
 
 // Node is a node of an unordered labeled tree. Nodes are created and owned
 // by a Tree; the zero value is not useful.
+//
+// A node has no parent pointer and, once it belongs to a version that an
+// update derived (see Fork and Update.Apply in package ops), it is never
+// written again: versions share every subtree an update did not touch.
 type Node struct {
 	id       int
 	label    string
-	parent   *Node
 	children []*Node
 
-	// modified records that the subtree rooted at this node was changed by
-	// an update operation (used by the Lemma 1 tree-conflict checker).
-	modified bool
+	// stamp is the clock of the tree that created or copied the node,
+	// taken at that moment; Tree.Modified compares it with the tree's
+	// current clock (the Lemma 1 tree-conflict flag).
+	stamp uint64
 }
 
 // ID returns the node's identity, unique within its tree's history. Clones
@@ -39,53 +43,19 @@ func (n *Node) ID() int { return n.id }
 // Label returns the node's label.
 func (n *Node) Label() string { return n.label }
 
-// Parent returns the node's parent, or nil for the root.
-func (n *Node) Parent() *Node { return n.parent }
-
 // Children returns the node's children. The returned slice is owned by the
 // tree and must not be modified by the caller.
 func (n *Node) Children() []*Node { return n.children }
 
-// Modified reports whether the subtree rooted at n has been changed by an
-// update operation applied to its tree.
-func (n *Node) Modified() bool { return n.modified }
-
-// IsAncestorOf reports whether n is a proper ancestor of m.
-func (n *Node) IsAncestorOf(m *Node) bool {
-	for p := m.parent; p != nil; p = p.parent {
-		if p == n {
-			return true
-		}
-	}
-	return false
-}
-
-// Depth returns the number of edges from the root to n.
-func (n *Node) Depth() int {
-	d := 0
-	for p := n.parent; p != nil; p = p.parent {
-		d++
-	}
-	return d
-}
-
-// PathLabels returns the labels on the path from the root to n, inclusive.
-func (n *Node) PathLabels() []string {
-	var rev []string
-	for m := n; m != nil; m = m.parent {
-		rev = append(rev, m.label)
-	}
-	out := make([]string, len(rev))
-	for i, l := range rev {
-		out[len(rev)-1-i] = l
-	}
-	return out
-}
-
-// Tree is a rooted, unordered, labeled tree.
+// Tree is a rooted, unordered, labeled tree: a handle on one version of
+// a document. Versions derived from it by Fork and updates share
+// structure with it (see version.go).
 type Tree struct {
 	root   *Node
 	nextID int
+	// clock stamps the nodes this tree creates or copies; ClearModified
+	// advances it.
+	clock uint64
 }
 
 // New returns a tree consisting of a single root node with the given label.
@@ -96,7 +66,7 @@ func New(rootLabel string) *Tree {
 }
 
 func (t *Tree) newNode(label string) *Node {
-	n := &Node{id: t.nextID, label: label}
+	n := &Node{id: t.nextID, label: label, stamp: t.clock}
 	t.nextID++
 	return n
 }
@@ -108,7 +78,6 @@ func (t *Tree) Root() *Node { return t.root }
 // of parent, and returns it. The parent must belong to this tree.
 func (t *Tree) AddChild(parent *Node, label string) *Node {
 	n := t.newNode(label)
-	n.parent = parent
 	parent.children = append(parent.children, n)
 	return n
 }
@@ -178,30 +147,31 @@ func (t *Tree) Labels() map[string]bool {
 	return out
 }
 
-// Contains reports whether n belongs to this tree.
+// Contains reports whether n belongs to this tree's current version. It
+// walks the tree: O(|t|).
 func (t *Tree) Contains(n *Node) bool {
-	for m := n; m != nil; m = m.parent {
-		if m == t.root {
-			return true
-		}
-	}
-	return false
+	found := false
+	t.Walk(func(m *Node) bool {
+		found = found || m == n
+		return !found
+	})
+	return found
 }
 
 // Clone returns a deep copy of the tree in which every node keeps its
-// identity. It is the basis for comparing R(t) with R(op(t)) under the
-// reference-based semantics of Section 3.
+// identity and its modified status. Updates do not need it (Fork shares
+// structure instead); it is for code that goes on to use the in-place
+// builders (AddChild, Graft, DeleteSubtree, Detach, Attach), which must
+// only ever touch nodes no other version shares.
 func (t *Tree) Clone() *Tree {
-	nt := &Tree{nextID: t.nextID}
-	nt.root = cloneNode(t.root, nil)
-	return nt
+	return &Tree{root: cloneNode(t.root), nextID: t.nextID, clock: t.clock}
 }
 
-func cloneNode(n *Node, parent *Node) *Node {
-	m := &Node{id: n.id, label: n.label, parent: parent, modified: n.modified}
+func cloneNode(n *Node) *Node {
+	m := &Node{id: n.id, label: n.label, stamp: n.stamp}
 	m.children = make([]*Node, len(n.children))
 	for i, c := range n.children {
-		m.children[i] = cloneNode(c, m)
+		m.children[i] = cloneNode(c)
 	}
 	return m
 }
@@ -209,9 +179,7 @@ func cloneNode(n *Node, parent *Node) *Node {
 // CloneSubtree returns SUBTREE_n(t) as a fresh tree. Node identities are
 // preserved from the source tree.
 func (t *Tree) CloneSubtree(n *Node) *Tree {
-	nt := &Tree{nextID: t.nextID}
-	nt.root = cloneNode(n, nil)
-	return nt
+	return &Tree{root: cloneNode(n), nextID: t.nextID, clock: t.clock}
 }
 
 // Graft attaches a fresh copy of the tree x as a new child of parent and
@@ -232,38 +200,61 @@ func (t *Tree) graftNode(parent *Node, src *Node) *Node {
 
 // DeleteSubtree detaches the subtree rooted at n from the tree. It returns
 // an error when n is the root (the paper requires deletions to leave a
-// tree: Ø(p) ≠ ROOT(p)).
+// tree: Ø(p) ≠ ROOT(p)) or is not in the tree. Without parent pointers it
+// finds n's parent by walking the tree: O(|t|).
 func (t *Tree) DeleteSubtree(n *Node) error {
 	if n == t.root {
 		return fmt.Errorf("xmltree: cannot delete the root of a tree")
 	}
-	p := n.parent
-	for i, c := range p.children {
-		if c == n {
-			p.children = append(p.children[:i], p.children[i+1:]...)
-			break
+	var p *Node
+	at := -1
+	t.Walk(func(m *Node) bool {
+		if p != nil {
+			return false
 		}
+		for i, c := range m.children {
+			if c == n {
+				p, at = m, i
+			}
+		}
+		return true
+	})
+	if p == nil {
+		return fmt.Errorf("xmltree: node %d is not in the tree", n.id)
 	}
-	n.parent = nil
+	p.children = append(p.children[:at], p.children[at+1:]...)
 	return nil
 }
 
-// MarkModified sets the subtree-modified flag on n and every ancestor of n.
-// Update operations call it at each change point so that the tree-conflict
-// check of Lemma 1 runs in time linear in |t|.
-func (t *Tree) MarkModified(n *Node) {
-	for m := n; m != nil; m = m.parent {
-		m.modified = true
+// Prune removes every subtree whose root fails keep, in one pass: keep
+// is asked about every node below the root whose parent stays, and the
+// root always stays. Like the other in-place builders it is for private
+// trees only.
+func (t *Tree) Prune(keep func(*Node) bool) {
+	var prune func(n *Node)
+	prune = func(n *Node) {
+		kept := n.children[:0]
+		for _, c := range n.children {
+			if keep(c) {
+				prune(c)
+				kept = append(kept, c)
+			}
+		}
+		clear(n.children[len(kept):])
+		n.children = kept
 	}
+	prune(t.root)
 }
 
-// ClearModified resets all subtree-modified flags.
-func (t *Tree) ClearModified() {
-	t.Walk(func(n *Node) bool { n.modified = false; return true })
-}
+// Modified reports whether n was copied or created since t's last
+// ClearModified (or ever, if t was never cleared). An update marks this
+// way exactly the nodes it changed: the root-to-point paths it copied and
+// the nodes it inserted. It drives the tree-conflict check of Lemma 1.
+func (t *Tree) Modified(n *Node) bool { return n.stamp == t.clock }
 
-// Relabel changes the label of n.
-func (t *Tree) Relabel(n *Node, label string) { n.label = label }
+// ClearModified resets the modified status of every node in O(1): it
+// advances t's clock without writing any node.
+func (t *Tree) ClearModified() { t.clock++ }
 
 // Detach removes n from its parent without deleting it, and Attach places a
 // detached node (with its subtree) under a new parent. They implement the
@@ -274,12 +265,11 @@ func (t *Tree) Detach(n *Node) error {
 }
 
 // Attach makes the detached node n a child of parent. n must not currently
-// have a parent.
+// be in the tree.
 func (t *Tree) Attach(parent, n *Node) error {
-	if n.parent != nil {
+	if t.Contains(n) {
 		return fmt.Errorf("xmltree: node %d is already attached", n.id)
 	}
-	n.parent = parent
 	parent.children = append(parent.children, n)
 	return nil
 }

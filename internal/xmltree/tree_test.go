@@ -15,11 +15,8 @@ func TestNewSingleNode(t *testing.T) {
 	if tr.Size() != 1 {
 		t.Fatalf("size = %d, want 1", tr.Size())
 	}
-	if tr.Root().Parent() != nil {
+	if _, ok := tr.Parents()[tr.Root()]; ok {
 		t.Fatalf("root has a parent")
-	}
-	if tr.Root().Depth() != 0 {
-		t.Fatalf("root depth = %d", tr.Root().Depth())
 	}
 }
 
@@ -30,27 +27,9 @@ func TestAddChildStructure(t *testing.T) {
 	if got := tr.Size(); got != 3 {
 		t.Fatalf("size = %d, want 3", got)
 	}
-	if c.Parent() != b || b.Parent() != tr.Root() {
-		t.Fatalf("parent links wrong")
-	}
-	if !tr.Root().IsAncestorOf(c) || !b.IsAncestorOf(c) {
-		t.Fatalf("ancestor relation wrong")
-	}
-	if c.IsAncestorOf(b) || c.IsAncestorOf(c) {
-		t.Fatalf("IsAncestorOf must be proper and directed")
-	}
-	if got := c.Depth(); got != 2 {
-		t.Fatalf("depth = %d, want 2", got)
-	}
-	want := []string{"a", "b", "c"}
-	got := c.PathLabels()
-	if len(got) != len(want) {
-		t.Fatalf("path = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("path = %v, want %v", got, want)
-		}
+	parent := tr.Parents()
+	if parent[c] != b || parent[b] != tr.Root() || len(parent) != 2 {
+		t.Fatalf("parent lookup wrong")
 	}
 }
 
@@ -146,7 +125,7 @@ func TestDetachAttach(t *testing.T) {
 	if err := tr.Attach(tr.Root(), c); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Size() != 3 || c.Parent() != tr.Root() {
+	if tr.Size() != 3 || tr.Parents()[c] != tr.Root() {
 		t.Fatalf("attach failed")
 	}
 	if err := tr.Attach(tr.Root(), b); err == nil {
@@ -154,23 +133,33 @@ func TestDetachAttach(t *testing.T) {
 	}
 }
 
-func TestMarkModified(t *testing.T) {
+func TestModifiedStamps(t *testing.T) {
 	tr := New("a")
 	b := tr.AddChild(tr.Root(), "b")
-	c := tr.AddChild(b, "c")
-	d := tr.AddChild(tr.Root(), "d")
-	tr.MarkModified(c)
-	if !c.Modified() || !b.Modified() || !tr.Root().Modified() {
-		t.Fatalf("ancestors not marked")
-	}
-	if d.Modified() {
-		t.Fatalf("sibling wrongly marked")
+	if !tr.Modified(b) {
+		t.Fatalf("a never-cleared tree counts every node as modified")
 	}
 	tr.ClearModified()
 	for _, n := range tr.Nodes() {
-		if n.Modified() {
+		if tr.Modified(n) {
 			t.Fatalf("clear failed")
 		}
+	}
+	c := tr.AddChild(b, "c")
+	if !tr.Modified(c) || tr.Modified(b) {
+		t.Fatalf("only the node created after the clear is modified")
+	}
+	// Clone and Fork carry the modified status over.
+	if cl := tr.Clone(); !cl.Modified(cl.NodeByID(c.ID())) || cl.Modified(cl.Root()) {
+		t.Fatalf("clone lost the modified status")
+	}
+	f := tr.Fork()
+	if !f.Modified(c) {
+		t.Fatalf("fork lost the modified status")
+	}
+	f.ClearModified()
+	if f.Modified(c) || !tr.Modified(c) {
+		t.Fatalf("clearing a fork must not touch the other version")
 	}
 }
 
@@ -381,7 +370,7 @@ func TestIsomorphismPropertyPermutedClone(t *testing.T) {
 		nodes := cl.Nodes()
 		n := nodes[rng.Intn(len(nodes))]
 		old := n.Label()
-		cl.Relabel(n, "zz")
+		n.label = "zz"
 		iso := Isomorphic(tr, cl)
 		if old == "zz" {
 			return iso

@@ -168,9 +168,13 @@ func (t *Tree) Write(w io.Writer, indent bool) error {
 
 // XML returns the serialized form of the tree (children in canonical
 // order, no indentation).
-func (t *Tree) XML() string {
+func (t *Tree) XML() string { return t.root.XML() }
+
+// XML returns the serialized form of the subtree rooted at n: the same
+// string as CloneSubtree(n).XML(), without the copy.
+func (n *Node) XML() string {
 	var b strings.Builder
-	_ = t.Write(&b, false)
+	writeXML(&errWriter{w: &b}, n)
 	return b.String()
 }
 

@@ -12,7 +12,9 @@
 // Documents are unordered, unranked labeled trees (Tree, Node). Queries
 // are tree patterns (Pattern) compiled from XPath expressions by
 // ParseXPath. Operations are Read, Insert, and Delete with the mutating,
-// reference-based semantics of the XQuery update proposals and XJ.
+// reference-based semantics of the XQuery update proposals and XJ; an
+// update makes the tree a new version that copies only the root-to-point
+// paths and shares the rest with the old one (Tree.Fork).
 //
 // # Conflict semantics
 //
